@@ -329,7 +329,8 @@ def execute_unit(task: UnitTask) -> dict:
                 validate=task.validate,
                 engine=task.engine,
                 trace=trace,
-                replay_check=task.replay_check,
+                # Unset defers to REPRO_REPLAY_CHECK, as a bare simulate() does.
+                replay_check=task.replay_check or None,
                 algorithms=task.algorithms,
                 profile_source=task.profile_source,
             )

@@ -31,6 +31,7 @@ import hashlib
 import json
 import sys
 from array import array
+from collections import Counter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -133,6 +134,9 @@ class DecisionTrace:
         self.fingerprint = fingerprint
         self._visit_counts: Optional[Dict[Tuple[str, BlockId], int]] = None
         self._ras_cache: Dict[int, Tuple[int, int, int]] = {}
+        #: The replay slice tier's per-source run summaries, built on
+        #: first use (see :mod:`repro.sim.replay`); never points back here.
+        self._slices: Optional[object] = None
 
     # -- stream access -------------------------------------------------
     def iter_chunks(self) -> Iterator[array]:
@@ -255,6 +259,9 @@ def capture_decisions(
         program.reset_behaviors(seed)
 
     # Pre-resolve per-block walk records, validating like _compile_nodes.
+    # Each record ends with the block's template-id tables — successor ->
+    # id, one callee -> id table per call, return frame -> id — so a
+    # repeated step looks its id up without building a template tuple.
     walk: Dict[str, Dict[BlockId, Tuple]] = {}
     entries: Dict[str, BlockId] = {}
     for proc in program:
@@ -279,89 +286,100 @@ def capture_decisions(
                 block.kind,
                 block.behavior,
                 [(c.callee, c.chooser) for c in block.calls],
+                len(block.calls),
                 ft.dst if ft is not None else None,
                 taken.dst if taken is not None else None,
                 indirect_dsts,
+                {},
+                [{} for _ in block.calls],
+                {},
             )
         walk[proc.name] = records
 
     templates: List[Tuple] = []
     counts: List[int] = []
-    template_ids: Dict[Tuple, int] = {}
     chunks: List[array] = []
-    current = array(_STREAM_TYPECODE)
-    steps = 0
 
-    def record(template: Tuple) -> None:
-        nonlocal current, steps
-        tid = template_ids.get(template)
-        if tid is None:
-            tid = len(templates)
-            template_ids[template] = tid
-            templates.append(template)
-            counts.append(0)
-        counts[tid] += 1
-        current.append(tid)
-        steps += 1
-        if len(current) >= CHUNK_STEPS:
-            chunks.append(current)
-            current = array(_STREAM_TYPECODE)
+    def new_template(template: Tuple) -> int:
+        templates.append(template)
+        counts.append(0)
+        return len(templates) - 1
+
+    def seal(chunk: array) -> None:
+        for tid, n in Counter(chunk).items():
+            counts[tid] += n
+        chunks.append(chunk)
 
     cond_kind = TerminatorKind.COND
     ft_kind = TerminatorKind.FALLTHROUGH
     uncond_kind = TerminatorKind.UNCOND
-    indirect_kind = TerminatorKind.INDIRECT
+    return_kind = TerminatorKind.RETURN
 
     stack: List[Tuple[str, BlockId, int]] = []
     proc_name = program.entry
     records = walk[proc_name]
     bid = entries[proc_name]
     call_idx = 0
+    current = array(_STREAM_TYPECODE)
+    append = current.append
+    room = CHUNK_STEPS
 
     while True:
-        kind, behavior, calls, ft_dst, taken_dst, indirect_dsts = records[bid]
+        (kind, behavior, calls, ncalls, ft_dst, taken_dst, indirect_dsts,
+         branch_ids, call_ids, ret_ids) = records[bid]
 
-        if call_idx < len(calls):
+        if call_idx < ncalls:
             callee, chooser = calls[call_idx]
             if chooser is not None:
                 callee = chooser.choose()
-            record((T_CALL, proc_name, bid, call_idx, callee))
+            tid = call_ids[call_idx].get(callee)
+            if tid is None:
+                tid = call_ids[call_idx][callee] = new_template(
+                    (T_CALL, proc_name, bid, call_idx, callee)
+                )
             stack.append((proc_name, bid, call_idx + 1))
             proc_name = callee
             records = walk[proc_name]
             bid = entries[proc_name]
             call_idx = 0
-            continue
-
-        if kind is cond_kind:
-            succ = taken_dst if behavior.choose() else ft_dst
-        elif kind is ft_kind:
-            succ = ft_dst
-        elif kind is uncond_kind:
-            succ = taken_dst
-        elif kind is indirect_kind:
-            if behavior is not None:
+        elif kind is return_kind:
+            if not stack:
+                append(new_template((T_FINAL, proc_name, bid)))
+                break
+            frame = stack.pop()
+            tid = ret_ids.get(frame)
+            if tid is None:
+                tid = ret_ids[frame] = new_template((T_RET, proc_name, bid) + frame)
+            proc_name, bid, call_idx = frame
+            records = walk[proc_name]
+        else:
+            if kind is cond_kind:
+                succ = taken_dst if behavior.choose() else ft_dst
+            elif kind is ft_kind:
+                succ = ft_dst
+            elif kind is uncond_kind:
+                succ = taken_dst
+            elif behavior is not None:  # INDIRECT
                 succ = indirect_dsts[behavior.choose()]
             else:
                 succ = indirect_dsts[0]
-        else:  # RETURN
-            if stack:
-                ret_proc, ret_bid, ret_idx = stack.pop()
-                record((T_RET, proc_name, bid, ret_proc, ret_bid, ret_idx))
-                proc_name = ret_proc
-                records = walk[proc_name]
-                bid = ret_bid
-                call_idx = ret_idx
-                continue
-            record((T_FINAL, proc_name, bid))
-            break
+            tid = branch_ids.get(succ)
+            if tid is None:
+                tid = branch_ids[succ] = new_template((T_BRANCH, proc_name, bid, succ))
+            bid = succ
+            call_idx = 0
 
-        record((T_BRANCH, proc_name, bid, succ))
-        bid = succ
-        call_idx = 0
+        append(tid)
+        room -= 1
+        if not room:
+            seal(current)
+            current = array(_STREAM_TYPECODE)
+            append = current.append
+            room = CHUNK_STEPS
 
     if len(current):
-        chunks.append(current)
+        seal(current)
+    steps = sum(counts)
 
     meta: Dict[str, object] = {"seed": seed}
     fingerprint = None

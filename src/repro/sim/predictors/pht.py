@@ -58,11 +58,6 @@ class CorrelationPHT(DirectMappedPHT):
         ras_depth: int = 32,
     ):
         super().__init__(entries, ras_depth)
-        if (1 << history_bits) < entries:
-            # A shorter history than the index width is legal (gshare
-            # simply XORs into the low bits) but the paper pairs a 12-bit
-            # register with a 4096-entry table, so warn via validation.
-            pass
         self.history_bits = history_bits
         self.history_mask = (1 << history_bits) - 1
         self.history = 0

@@ -16,24 +16,45 @@ ever being unfaithful:
   are stateless per site, so their penalty counts follow from per-site
   visit/taken totals, layout-resolved once per site, plus the
   layout-invariant return-stack statistics; no event loop at all.
-* **fast consumers** — the table predictors (both PHTs, the BTBs) get
-  specialised loops over the realised event stream with the predictor
-  update rules inlined; same arithmetic, no dispatch.
+* **slice** — the table predictors (direct-mapped PHT, gshare, BTB) are
+  scored from per-source run summaries that every layout of a trace
+  shares, built by one pass over the trace and cached on it.  A
+  *source* is a block or a call; each branch site a layout gives it sees
+  that source's steps and no others.  A direct-mapped counter that one
+  executed site owns is a 2-bit counter walked in closed form over the
+  source's runs; a counter several sites share (aliasing) replays just
+  their steps, in stream order.  A BTB set that receives at most
+  ``assoc`` lines never evicts, so its sites get closed forms too; an
+  over-subscribed set replays only its own sites' events, which is
+  exact because LRU order inside a set ignores every other set.  gshare
+  mixes every site through its global history, so it runs its update
+  inlined over the conditional steps alone.  Returns come from the
+  trace's return-stack statistics.
 * **faithful** — any other listener (trace capture, recorders,
   subclassed predictors) receives every event through the same
   ``on_event`` protocol the executor uses, in the same order, with the
   same ``max_events`` cut-off semantics.
 
-The fast tiers are keyed on *exact* type: a subclass (e.g. the
-tournament PHT) automatically drops to the faithful tier rather than
-silently inheriting the wrong inlined update rule.  Differential
-checking (``--replay-check``) and claim 14 assert bit-identity of the
-resulting :class:`~repro.sim.metrics.SimulationReport`.
+The cheaper tiers are keyed on *exact* type — a subclass (e.g. the
+tournament PHT) drops to the faithful tier rather than silently
+inheriting the wrong update rule — and need an empty return stack, which
+the trace's return statistics assume; a BTB must also start empty.  A
+sim they score is left as a per-event run leaves it (PHT counters, gshare
+history, BTB lines in LRU order, tallies; the return stack ends empty
+either way), so it can be run again.
+Differential checking (``--replay-check``, ``REPRO_REPLAY_CHECK=1``) and
+claim 14 assert bit-identity of the resulting
+:class:`~repro.sim.metrics.SimulationReport`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from array import array
+from itertools import compress
+from operator import itemgetter, ne, sub
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Set, Tuple,
+)
 
 from ..isa.encoder import INSTRUCTION_BYTES, LinkedProgram
 from ..cfg import BlockId, TerminatorKind
@@ -285,6 +306,20 @@ class _Aggregates:
                     self.ret_events += count
 
 
+def _serve_ras(sim: Any, trace: DecisionTrace) -> int:
+    """Add the trace's return-stack tallies to ``sim.ras``; return its mispredicts.
+
+    Exact for an empty return stack (see :meth:`DecisionTrace.ras_stats`),
+    which every caller checks first.
+    """
+    pushes, pops, correct = trace.ras_stats(sim.ras.depth)
+    ras = sim.ras
+    ras.pushes += pushes
+    ras.pops += pops
+    ras.correct += correct
+    return pops - correct
+
+
 def _serve_static(sim: Any, agg: _Aggregates, trace: DecisionTrace) -> None:
     """Apply a whole replay to a stateless-per-site static predictor.
 
@@ -293,164 +328,553 @@ def _serve_static(sim: Any, agg: _Aggregates, trace: DecisionTrace) -> None:
     bits flip with inversions) and the trace's return-stack statistics,
     which are layout-invariant (see :meth:`DecisionTrace.ras_stats`).
     """
-    counts = sim.counts
     predict = sim.predict_cond
-    correct = 0
-    misfetches = 0
-    mispredicts = 0
+    mis_t = mis_n = 0
     for site, (visits, taken) in agg.cond_sites.items():
         if predict(site):
-            correct += taken
-            misfetches += taken
-            mispredicts += visits - taken
+            mis_n += visits - taken
         else:
-            correct += visits - taken
-            mispredicts += taken
-    pushes, pops, ras_correct = trace.ras_stats(sim.ras.depth)
+            mis_t += taken
+    _book(sim, agg, trace, mis_t, mis_n)
+
+
+def _book(sim: Any, agg: _Aggregates, trace: DecisionTrace, mis_t: int, mis_n: int) -> None:
+    """Book a direction predictor's totals from its mispredicted taken
+    and not-taken conditional counts, under the static/PHT penalty
+    rules: a correctly predicted taken conditional, an unconditional
+    branch or a direct call misfetches; a mispredicted conditional, an
+    indirect jump or call, or a mispredicted return mispredicts.
+    """
+    counts = sim.counts
+    ras_mispredicts = _serve_ras(sim, trace)
     counts.cond_executed += agg.cond_executed
-    counts.cond_correct += correct
-    counts.misfetches += misfetches + agg.uncond_events + agg.call_events
+    counts.cond_correct += agg.cond_executed - mis_t - mis_n
+    counts.misfetches += agg.cond_taken - mis_t + agg.uncond_events + agg.call_events
     counts.mispredicts += (
-        mispredicts
-        + agg.icall_events
-        + agg.indirect_events
-        + (pops - ras_correct)
+        mis_t + mis_n + agg.icall_events + agg.indirect_events + ras_mispredicts
     )
-    ras = sim.ras
-    ras.pushes += pushes
-    ras.pops += pops
-    ras.correct += ras_correct
 
 
-# -- inlined fast consumers -------------------------------------------
+# -- slice tier ---------------------------------------------------------
 
 
-class _DirectPHTFeed:
-    """DirectMappedPHT.on_event inlined over realised event chunks."""
+#: ``_RUN[taken][value][n]``: ``(value', mispredicts)`` of a 2-bit
+#: counter at ``value`` after ``n`` equal outcomes.  It saturates at 0
+#: and 3 and mispredicts until it crosses the threshold, so three steps
+#: tell as much as any longer run and ``n`` stops at 3.
+_RUN = tuple(
+    tuple(
+        tuple(
+            (min(3, value + n), min(n, max(0, 2 - value)))
+            if taken
+            else (max(0, value - n), min(n, max(0, value - 1)))
+            for n in range(4)
+        )
+        for value in range(4)
+    )
+    for taken in (False, True)
+)
 
-    def __init__(self, sim: DirectMappedPHT):
-        self.sim = sim
 
-    def feed(self, chunk: List[Tuple[int, int, int, bool]]) -> None:
-        sim = self.sim
-        counts = sim.counts
-        table = sim.table
-        counters = table.counters
-        mask = table.mask
-        push = sim.ras.push
-        pop = sim.ras.pop_predict
-        mis = counts.misfetches
-        mp = counts.mispredicts
-        ce = counts.cond_executed
-        cc = counts.cond_correct
-        for kind, site, target, taken in chunk:
-            if kind == 0:  # COND
-                ce += 1
-                index = (site >> 2) & mask
+def _counter_over_runs(
+    runs: Sequence[int], taken: Sequence[int], value: int
+) -> Tuple[int, int, int]:
+    """Walk a 2-bit counter over run codes ``tid << 2 | min(length, 3)``.
+
+    ``taken`` lists the taken template ids.  Returns ``(final value,
+    mispredicted taken, mispredicted not-taken)``.
+    """
+    up, down = _RUN[1], _RUN[0]
+    mis_t = mis_n = 0
+    for code in runs:
+        if code >> 2 in taken:
+            value, mispredicts = up[value][code & 3]
+            mis_t += mispredicts
+        else:
+            value, mispredicts = down[value][code & 3]
+            mis_n += mispredicts
+    return value, mis_t, mis_n
+
+
+def _typecode(limit: int) -> str:
+    """The smallest array typecode holding every int in ``range(limit)``."""
+    return "B" if limit <= 0x100 else "H" if limit <= 0x10000 else "q"
+
+
+def _pick(chunk: "array[int]", flags: bytes) -> Iterator[int]:
+    """The ids in ``chunk`` whose flag is set, filtered at C speed.
+
+    ``itemgetter`` reads every flag in one call; the trailing 0 keeps its
+    result a tuple even for a one-id chunk.
+    """
+    return compress(chunk, itemgetter(*chunk, 0)(flags))
+
+
+#: Steps :func:`_flagged_runs` groups into runs at a time.
+_RUN_WINDOW = 2048
+
+
+def _flagged_runs(
+    trace: DecisionTrace, flags: bytes
+) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+    """The flagged templates' steps, in stream order, as runs of one id.
+
+    Yields ``(heads, lengths)`` a window at a time, which keeps the
+    temporary lists short.  A run cut by a window or chunk edge arrives in
+    pieces; every use of these runs gives the same result for the pieces
+    as for the whole run.
+    """
+    for chunk in trace.iter_chunks():
+        for lo in range(0, len(chunk), _RUN_WINDOW):
+            ids = list(_pick(chunk[lo:lo + _RUN_WINDOW], flags))
+            if ids:
+                bounds = list(compress(range(1, len(ids)), map(ne, ids[1:], ids)))
+                starts = [0, *bounds]
+                yield (
+                    itemgetter(*starts, 0)(ids)[:-1],
+                    list(map(sub, [*bounds, len(ids)], starts)),
+                )
+
+
+class _Slices:
+    """Per-source run summaries of one decision trace (layout-independent).
+
+    A *source* is one block (the ``T_BRANCH`` templates leaving it) or
+    one call (the ``T_CALL`` templates through it).  Whatever the layout,
+    each branch site it creates is reached from a single source, so the
+    site's predictor outcomes follow from that source's template-id
+    sub-stream alone.  Built once per trace, by one pass over the
+    conditional steps and the steps of multi-template sources, and
+    cached on the trace.
+
+    ``runs[s]`` holds the sub-stream of source ``s`` as run codes
+    ``tid << 2 | min(length, 3)`` (see :data:`_RUN`);
+    ``first_length[s]`` is the exact length of its first run.
+    ``last_step[tid]`` is the stream index of the template's last step.
+    ``cond`` flags the conditional-branch templates; ``cond_tids`` and
+    ``cond_lengths`` hold their steps in stream order as runs of equal
+    ids.  ``memo`` caches closed forms, which depend on a layout only
+    through the taken templates of a site.
+    """
+
+    __slots__ = (
+        "tids_of", "runs", "first_length", "last_step",
+        "cond", "cond_tids", "cond_lengths", "memo",
+    )
+
+    def __init__(self, trace: DecisionTrace, cond: bytes):
+        counts = trace.counts
+        chunks = list(trace.iter_chunks())
+        ids: Dict[Tuple[Any, ...], int] = {}
+        source_of: List[int] = []
+        for template in trace.templates:
+            kind = template[0]
+            if kind == T_BRANCH:
+                key: Tuple[Any, ...] = template[1:3]
+            elif kind == T_CALL:
+                key = template[:4]
+            else:
+                source_of.append(-1)
+                continue
+            source_of.append(ids.setdefault(key, len(ids)))
+        tids_of: List[List[int]] = [[] for _ in ids]
+        for tid, source in enumerate(source_of):
+            if source >= 0 and counts[tid]:
+                tids_of[source].append(tid)
+
+        runs_code = _typecode(len(counts) << 2)
+        runs: List["array[int]"] = [array(runs_code) for _ in ids]
+        first_length = [0] * len(ids)
+        for source, tids in enumerate(tids_of):
+            if len(tids) == 1:
+                runs[source].append(tids[0] << 2 | min(counts[tids[0]], 3))
+                first_length[source] = counts[tids[0]]
+        multi = bytes(s >= 0 and len(tids_of[s]) > 1 for s in source_of)
+        wanted = bytes(c or m for c, m in zip(cond, multi))
+        cond_tids: "array[int]" = array(_typecode(len(counts)))
+        cond_lengths: "array[int]" = array(_typecode(_RUN_WINDOW + 1))
+        last = [-1] * len(ids)
+        length = [0] * len(ids)
+        for heads, lengths in _flagged_runs(trace, wanted):
+            is_cond = itemgetter(*heads, 0)(cond)
+            cond_tids.extend(compress(heads, is_cond))
+            cond_lengths.extend(compress(lengths, is_cond))
+            for tid, n in compress(zip(heads, lengths), itemgetter(*heads, 0)(multi)):
+                source = source_of[tid]
+                if last[source] == tid:
+                    length[source] += n
+                    continue
+                previous = last[source]
+                if previous >= 0:
+                    if not runs[source]:
+                        first_length[source] = length[source]
+                    runs[source].append(previous << 2 | min(length[source], 3))
+                last[source] = tid
+                length[source] = n
+        for source, previous in enumerate(last):
+            if previous >= 0:
+                if not runs[source]:
+                    first_length[source] = length[source]
+                runs[source].append(previous << 2 | min(length[source], 3))
+
+        last_step = [-1] * len(counts)
+        seen: Set[int] = set()
+        pending = sum(1 for count in counts if count)
+        end = trace.steps
+        for chunk in reversed(chunks):
+            fresh = set(chunk) - seen
+            if fresh:
+                # Later positions overwrite earlier ones: the last step wins.
+                position = dict(zip(chunk, range(end - len(chunk), end)))
+                for tid in fresh:
+                    last_step[tid] = position[tid]
+                seen |= fresh
+                if len(seen) == pending:
+                    break
+            end -= len(chunk)
+
+        self.tids_of = tids_of
+        self.runs = runs
+        self.first_length = first_length
+        self.last_step = last_step
+        self.cond = cond
+        self.cond_tids = cond_tids
+        self.cond_lengths = cond_lengths
+        self.memo: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+
+
+class _Site:
+    """One branch site of one layout: its source and the steps reaching it."""
+
+    __slots__ = ("kind", "source", "tids", "targets", "taken", "last", "last_target")
+
+    def __init__(self, kind: int, source: int):
+        self.kind = kind
+        self.source = source
+        #: Templates with an event here, each event's target, and the
+        #: templates whose event is taken.
+        self.tids: List[int] = []
+        self.targets: List[int] = []
+        self.taken: List[int] = []
+        #: ``step << 2 | event index`` of the last event here, and its target.
+        self.last = -1
+        self.last_target = 0
+
+
+class _Layout:
+    """One layout's replay inputs; slice views are built on first use."""
+
+    def __init__(self, linked: LinkedProgram, trace: DecisionTrace):
+        self.trace = trace
+        self.compiled = compile_steps(linked, trace)
+        self.agg = _Aggregates(linked, trace, self.compiled)
+        self._slices: Optional[_Slices] = None
+        self._sites: Optional[Dict[int, _Site]] = None
+        self._ready: Optional[bool] = None
+
+    def slices(self) -> Optional[_Slices]:
+        """The trace's slices, or None if this layout's program disagrees."""
+        if self._ready is None:
+            cond_k = tr.COND
+            cond = bytes(
+                bool(step.events) and step.events[0][0] == cond_k
+                for step in self.compiled
+            )
+            cached = self.trace._slices
+            if not isinstance(cached, _Slices):
+                cached = self.trace._slices = _Slices(self.trace, cond)
+            self._ready = cached.cond == cond
+            self._slices = cached
+        return self._slices if self._ready else None
+
+    def sites(self, slices: _Slices) -> Dict[int, _Site]:
+        """Every branch site of this layout that some source reaches."""
+        if self._sites is None:
+            sites: Dict[int, _Site] = {}
+            last_step = slices.last_step
+            for source, tids in enumerate(slices.tids_of):
+                for tid in tids:
+                    for index, (kind, site, target, taken) in enumerate(
+                        self.compiled[tid].events
+                    ):
+                        entry = sites.get(site)
+                        if entry is None:
+                            entry = sites[site] = _Site(kind, source)
+                        elif entry.kind != kind or entry.source != source:
+                            entry.source = -1  # not one source's: no closed form
+                        entry.tids.append(tid)
+                        entry.targets.append(target)
+                        if taken:
+                            entry.taken.append(tid)
+                        access = last_step[tid] << 2 | index
+                        if access > entry.last:
+                            entry.last = access
+                            entry.last_target = target
+            self._sites = sites
+        return self._sites
+
+
+def _score_direct_pht(sim: DirectMappedPHT, layout: _Layout, slices: _Slices) -> None:
+    """Direct-mapped PHT, scored counter by counter.
+
+    A counter sees only the outcomes of the conditional sites that index
+    it.  A counter one site owns follows in closed form from the runs of
+    that site's source; a counter several sites share (or a site that is
+    not all one source's) replays just its sites' steps, in stream
+    order, a run of one template at a time.
+    """
+    table = sim.table
+    counters = table.counters
+    mask = table.mask
+    tids_of = slices.tids_of
+    cond_k = tr.COND
+    owners: Dict[int, List[_Site]] = {}
+    for site, entry in layout.sites(slices).items():
+        if entry.kind == cond_k:
+            owners.setdefault((site >> 2) & mask, []).append(entry)
+
+    memo = slices.memo
+    runs = slices.runs
+    mis_t = mis_n = 0
+    shared = bytearray(len(layout.compiled))
+    for index, entries in owners.items():
+        entry = entries[0]
+        if (
+            len(entries) > 1
+            or entry.source < 0
+            or len(entry.tids) != len(tids_of[entry.source])
+        ):
+            for sharer in entries:
+                for tid in sharer.tids:
+                    shared[tid] = 1
+            continue
+        key = ("pht", entry.source, tuple(entry.taken), counters[index])
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = _counter_over_runs(
+                runs[entry.source], entry.taken, counters[index]
+            )
+        counters[index] = result[0]
+        mis_t += result[1]
+        mis_n += result[2]
+
+    if any(shared):
+        # The conditional runs with the other counters' steps taken out:
+        # the pieces of a run compose exactly.
+        up, down = _RUN[1], _RUN[0]
+        compiled = layout.compiled
+        cond_tids = slices.cond_tids
+        for tid, n in compress(
+            zip(cond_tids, slices.cond_lengths), map(shared.__getitem__, cond_tids)
+        ):
+            _, site, _, taken = compiled[tid].events[0]
+            index = (site >> 2) & mask
+            if taken:
+                counters[index], mispredicts = up[counters[index]][min(n, 3)]
+                mis_t += mispredicts
+            else:
+                counters[index], mispredicts = down[counters[index]][min(n, 3)]
+                mis_n += mispredicts
+    _book(sim, layout.agg, layout.trace, mis_t, mis_n)
+
+
+def _score_gshare(sim: CorrelationPHT, layout: _Layout, slices: _Slices) -> None:
+    """gshare's inlined update, run over the conditional steps only.
+
+    A run of one template longer than ``history_bits + 3`` steps is cut
+    there: by then the history holds only that outcome and the one
+    counter it indexes is saturated, so every further step predicts
+    correctly and changes nothing.
+    """
+    codes = [0] * len(layout.compiled)
+    for tid, step in enumerate(layout.compiled):
+        if slices.cond[tid]:
+            _, site, _, taken = step.events[0]
+            codes[tid] = (site >> 2) << 1 | taken
+    table = sim.table
+    counters = table.counters
+    mask = table.mask
+    history = sim.history
+    history_mask = sim.history_mask
+    cap = sim.history_bits + 3
+    mis_t = mis_n = 0
+    for code, n in zip(map(codes.__getitem__, slices.cond_tids), slices.cond_lengths):
+        if n > cap:
+            n = cap
+        key = code >> 1
+        if code & 1:
+            while n:
+                n -= 1
+                index = (key ^ history) & mask
                 value = counters[index]
-                if taken:
-                    if value < 3:
-                        counters[index] = value + 1
-                    if value >= 2:
-                        cc += 1
-                        mis += 1
-                    else:
-                        mp += 1
-                else:
-                    if value > 0:
-                        counters[index] = value - 1
-                    if value >= 2:
-                        mp += 1
-                    else:
-                        cc += 1
-            elif kind == 1:  # UNCOND
-                mis += 1
-            elif kind == 3:  # CALL
-                mis += 1
-                push(site + 4)
-            elif kind == 4:  # ICALL
-                mp += 1
-                push(site + 4)
-            elif kind == 2:  # INDIRECT
-                mp += 1
-            else:  # RET
-                if not pop(target):
-                    mp += 1
-        counts.misfetches = mis
-        counts.mispredicts = mp
-        counts.cond_executed = ce
-        counts.cond_correct = cc
-
-
-class _CorrelationPHTFeed:
-    """CorrelationPHT (gshare) inlined over realised event chunks."""
-
-    def __init__(self, sim: CorrelationPHT):
-        self.sim = sim
-
-    def feed(self, chunk: List[Tuple[int, int, int, bool]]) -> None:
-        sim = self.sim
-        counts = sim.counts
-        table = sim.table
-        counters = table.counters
-        mask = table.mask
-        history = sim.history
-        history_mask = sim.history_mask
-        push = sim.ras.push
-        pop = sim.ras.pop_predict
-        mis = counts.misfetches
-        mp = counts.mispredicts
-        ce = counts.cond_executed
-        cc = counts.cond_correct
-        for kind, site, target, taken in chunk:
-            if kind == 0:  # COND
-                ce += 1
-                index = ((site >> 2) ^ history) & mask
+                if value < 3:
+                    counters[index] = value + 1
+                    if value < 2:
+                        mis_t += 1
+                history = ((history << 1) | 1) & history_mask
+        else:
+            while n:
+                n -= 1
+                index = (key ^ history) & mask
                 value = counters[index]
-                if taken:
-                    if value < 3:
-                        counters[index] = value + 1
-                    history = ((history << 1) | 1) & history_mask
-                    if value >= 2:
-                        cc += 1
-                        mis += 1
-                    else:
-                        mp += 1
-                else:
-                    if value > 0:
-                        counters[index] = value - 1
-                    history = (history << 1) & history_mask
-                    if value >= 2:
-                        mp += 1
-                    else:
-                        cc += 1
-            elif kind == 1:  # UNCOND
-                mis += 1
-            elif kind == 3:  # CALL
-                mis += 1
-                push(site + 4)
-            elif kind == 4:  # ICALL
-                mp += 1
-                push(site + 4)
-            elif kind == 2:  # INDIRECT
-                mp += 1
-            else:  # RET
-                if not pop(target):
-                    mp += 1
-        sim.history = history
-        counts.misfetches = mis
-        counts.mispredicts = mp
-        counts.cond_executed = ce
-        counts.cond_correct = cc
+                if value > 0:
+                    counters[index] = value - 1
+                    if value > 1:
+                        mis_n += 1
+                history = (history << 1) & history_mask
+    sim.history = history
+    _book(sim, layout.agg, layout.trace, mis_t, mis_n)
+
+
+#: One closed-form BTB site: (events, misses, misfetches, mispredicts,
+#: correct conditionals, resident line as (target, counter) or None).
+_BTBSite = Tuple[int, int, int, int, int, Optional[Tuple[int, int]]]
+
+
+def _btb_site(slices: _Slices, entry: _Site, counts: Sequence[int]) -> Optional[_BTBSite]:
+    """A BTB site's totals in closed form, if it never loses its line.
+
+    Conditional: misses (all predicted not-taken, correctly) up to the
+    first taken step, which mispredicts and inserts the line at counter
+    2; every later step hits and runs the counter.  Unconditional and
+    call: the first step misses, misfetches and inserts; later steps
+    hit.  Indirect jump and call: the first step misses and mispredicts;
+    a hit mispredicts whenever the target differs from the previous
+    step's.  Returns None when the site's steps are not its source's
+    run sequence.
+    """
+    source = entry.source
+    if source < 0:
+        return None
+    runs = slices.runs[source]
+    kind = entry.kind
+    events = sum(counts[tid] for tid in entry.tids)
+    if kind == tr.COND:
+        if not entry.taken:
+            return events, events, 0, 0, events, None
+        if len(entry.taken) > 1 or len(entry.tids) != len(slices.tids_of[source]):
+            return None
+        taken = entry.taken[0]
+        key: Tuple[Any, ...] = ("btb", source, taken)
+        result = slices.memo.get(key)
+        if result is None:
+            first = next(i for i, code in enumerate(runs) if code >> 2 == taken)
+            if first > 1:
+                return None
+            prefix = slices.first_length[source] if first else 0
+            # The inserting step leaves counter 2; the rest of its run
+            # (if any) moves it to 3 with no mispredict.
+            start = 3 if runs[first] & 3 > 1 else 2
+            value, mis_t, mis_n = _counter_over_runs(runs[first + 1:], (taken,), start)
+            result = slices.memo[key] = (prefix + 1, 1 + mis_t + mis_n, value)
+        misses, mispredicts, value = result
+        line = (entry.targets[entry.tids.index(taken)], value)
+        return events, misses, 0, mispredicts, events - mispredicts, line
+    if kind == tr.UNCOND or kind == tr.CALL:
+        return events, 1, 1, 0, 0, (entry.last_target, 2)
+    # INDIRECT / ICALL: consecutive steps here are consecutive runs, and
+    # consecutive runs have different templates.
+    if len(entry.tids) != len(slices.tids_of[source]):
+        return None
+    if len(set(entry.targets)) == len(entry.targets):
+        changes = len(runs) - 1
+    else:
+        target_of = dict(zip(entry.tids, entry.targets))
+        changes = sum(
+            1
+            for before, after in zip(runs, runs[1:])
+            if target_of[before >> 2] != target_of[after >> 2]
+        )
+    return events, 1, 0, 1 + changes, 0, (entry.last_target, 2)
+
+
+def _score_btb(sim: BTBSim, layout: _Layout, slices: _Slices) -> None:
+    """BTB scored per site, with LRU replay only where a set overflows.
+
+    A set that receives at most ``assoc`` lines never evicts, so each of
+    its sites is scored in closed form (:func:`_btb_site`).  An
+    over-subscribed set replays its own sites' events in stream order
+    through :class:`_BTBFeed` — exact, because LRU order within a set
+    ignores every other set.  The BTB is left holding the lines, LRU
+    order and clock a per-event run would leave (closed-form stamps keep
+    their order, not their values).
+    """
+    btb = sim.btb
+    nsets = btb.sets
+    trace_counts = layout.trace.counts
+    compiled = layout.compiled
+    ret_k = tr.RET
+    # Every executed taken event inserts a line (only conditionals are
+    # ever not taken), so these are the sites that ever hold one.
+    lines_at = {
+        site
+        for tids in slices.tids_of
+        for tid in tids
+        for kind, site, _, taken in compiled[tid].events
+        if taken and kind != ret_k
+    }
+    occupancy = [0] * nsets
+    for site in lines_at:
+        occupancy[(site >> 2) % nsets] += 1
+    spilled = {i for i, n in enumerate(occupancy) if n > btb.assoc}
+    counts = sim.counts
+    counts.cond_executed += layout.agg.cond_executed
+    counts.mispredicts += _serve_ras(sim, layout.trace)
+    closed: List[Tuple[int, _Site, _BTBSite]] = []
+    for site, entry in layout.sites(slices).items():
+        set_index = (site >> 2) % nsets
+        if set_index not in spilled:
+            result = _btb_site(slices, entry, trace_counts)
+            if result is None:
+                spilled.add(set_index)
+            else:
+                closed.append((site, entry, result))
+
+    if spilled:
+        events_of = [
+            tuple(e for e in step.events if e[0] != ret_k and (e[1] >> 2) % nsets in spilled)
+            for step in compiled
+        ]
+        wanted = bytes(bool(events) for events in events_of)
+        feed = _BTBFeed(sim)
+        for chunk in layout.trace.iter_chunks():
+            realized: List[Event] = []
+            extend = realized.extend
+            for tid in _pick(chunk, wanted):
+                extend(events_of[tid])
+            feed.feed(realized)
+
+    sets = btb._sets
+    lines: List[Tuple[int, int, Tuple[int, int]]] = []
+    for site, entry, (events, misses, misfetches, mispredicts, correct, line) in closed:
+        if (site >> 2) % nsets in spilled:
+            continue
+        btb.hits += events - misses
+        btb.misses += misses
+        btb._clock += events
+        counts.misfetches += misfetches
+        counts.mispredicts += mispredicts
+        counts.cond_correct += correct
+        if line is not None:
+            btb._clock += 1
+            lines.append((entry.last, site, line))
+    lines.sort()
+    for stamp, (_, site, (target, counter)) in enumerate(lines, 1):
+        sets[(site >> 2) % nsets][site] = _BTBEntry(target, counter, stamp)
 
 
 class _BTBFeed:
-    """BTBSim.on_event (with BTB.lookup/insert) inlined over chunks."""
+    """BTBSim.on_event's BTB half (lookup/insert inlined) over event chunks.
+
+    Chunks hold no returns (they never touch the BTB; the slice tier
+    takes the return stack from the trace), and ``cond_executed`` is
+    booked by the caller.
+    """
 
     def __init__(self, sim: BTBSim):
         self.sim = sim
 
-    def feed(self, chunk: List[Tuple[int, int, int, bool]]) -> None:
+    def feed(self, chunk: List[Event]) -> None:
         sim = self.sim
         counts = sim.counts
         btb = sim.btb
@@ -461,22 +885,14 @@ class _BTBFeed:
         hits = btb.hits
         misses = btb.misses
         make_entry = _BTBEntry
-        push = sim.ras.push
-        pop = sim.ras.pop_predict
         mis = counts.misfetches
         mp = counts.mispredicts
-        ce = counts.cond_executed
         cc = counts.cond_correct
         for kind, site, target, taken in chunk:
-            if kind == 5:  # RET — no BTB traffic
-                if not pop(target):
-                    mp += 1
-                continue
             clock += 1
             bucket = sets[(site >> 2) % nsets]
             entry = bucket.get(site)
             if kind == 0:  # COND
-                ce += 1
                 if entry is not None:
                     hits += 1
                     entry.stamp = clock
@@ -512,8 +928,6 @@ class _BTBFeed:
                 else:
                     hits += 1
                     entry.stamp = clock
-                if kind == 3:
-                    push(site + 4)
             else:  # ICALL / INDIRECT
                 if entry is None:
                     misses += 1
@@ -529,19 +943,16 @@ class _BTBFeed:
                     if entry.target != target:
                         mp += 1
                         entry.target = target
-                if kind == 4:
-                    push(site + 4)
         btb._clock = clock
         btb.hits = hits
         btb.misses = misses
         counts.misfetches = mis
         counts.mispredicts = mp
-        counts.cond_executed = ce
         counts.cond_correct = cc
 
 
 class _GenericFeed:
-    """Faithful per-event feed for listeners outside the fast tiers."""
+    """Faithful per-event feed for listeners outside the cheaper tiers."""
 
     def __init__(self, listener: EventListener):
         self.on_event = listener.on_event
@@ -552,14 +963,40 @@ class _GenericFeed:
             cb(event)
 
 
-#: Exact listener type -> inlined feed constructor (see module docstring).
-_FAST_FEEDS: Dict[type, Callable[[Any], Any]] = {
-    DirectMappedPHT: _DirectPHTFeed,
-    CorrelationPHT: _CorrelationPHTFeed,
-    BTBSim: _BTBFeed,
-}
-
 _AGGREGATE_TYPES = (FallthroughSim, BTFNTSim, LikelySim)
+_SLICE_TYPES = (DirectMappedPHT, CorrelationPHT, BTBSim)
+
+
+def _serve(sim: Any, layout: _Layout) -> Optional[_GenericFeed]:
+    """Score ``sim`` off aggregates or slices, or return its event feed.
+
+    Dispatch is by exact type — subclasses (tournament, local-history
+    PHTs) override update rules and must not inherit a closed form — and
+    needs an empty return stack, which the trace's return statistics
+    assume; a BTB must also start empty.  Anything else gets the faithful
+    :class:`_GenericFeed`.
+    """
+    sim_type = type(sim)
+    if sim_type not in _AGGREGATE_TYPES and sim_type not in _SLICE_TYPES:
+        return _GenericFeed(sim)
+    if sim.ras._live:
+        return _GenericFeed(sim)
+    if sim_type in _AGGREGATE_TYPES:
+        _serve_static(sim, layout.agg, layout.trace)
+        return None
+    slices = layout.slices()
+    if slices is None:
+        return _GenericFeed(sim)
+    if sim_type is DirectMappedPHT:
+        _score_direct_pht(sim, layout, slices)
+        return None
+    if sim_type is CorrelationPHT:
+        _score_gshare(sim, layout, slices)
+        return None
+    if any(sim.btb._sets):
+        return _GenericFeed(sim)
+    _score_btb(sim, layout, slices)
+    return None
 
 
 def run_architectures(
@@ -572,9 +1009,9 @@ def run_architectures(
 
     Returns ``(instructions, events, cond_executed, cond_taken)`` — the
     stream totals the :class:`SimulationReport` header wants.  Each sim
-    is served by the cheapest faithful tier its exact type allows; a
+    is served by the cheapest exact tier its type and state allow; a
     ``max_events`` cap forces the fully faithful path because aggregate
-    totals have no notion of a mid-stream cut.
+    and slice totals have no notion of a mid-stream cut.
     """
     if max_events is not None:
         executed = 0
@@ -593,25 +1030,12 @@ def run_architectures(
         )
         return result.instructions, result.events, executed, taken
 
-    compiled = compile_steps(linked, trace)
-    agg = _Aggregates(linked, trace, compiled)
-
-    feeds: List[Any] = []
-    for sim in sims:
-        # Exact-type dispatch: subclasses (tournament, local-history PHTs)
-        # override update rules and must fall through to the generic tier.
-        sim_type = type(sim)
-        if sim_type in _AGGREGATE_TYPES:
-            _serve_static(sim, agg, trace)
-        elif sim_type in _FAST_FEEDS:
-            feeds.append(_FAST_FEEDS[sim_type](sim))
-        else:
-            feeds.append(_GenericFeed(sim))
-
+    layout = _Layout(linked, trace)
+    feeds = [feed for feed in (_serve(sim, layout) for sim in sims) if feed is not None]
     if feeds:
-        events_of = [step.events for step in compiled]
+        events_of = [step.events for step in layout.compiled]
         for chunk in trace.iter_chunks():
-            realized: List[Tuple[int, int, int, bool]] = []
+            realized: List[Event] = []
             extend = realized.extend
             for tid in chunk:
                 step_events = events_of[tid]
@@ -620,4 +1044,5 @@ def run_architectures(
             for feed in feeds:
                 feed.feed(realized)
 
+    agg = layout.agg
     return agg.instructions, agg.events, agg.cond_executed, agg.cond_taken

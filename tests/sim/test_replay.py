@@ -1,16 +1,21 @@
 """The replay engine's exactness contract: replay == execute, bit for bit."""
 
+import importlib
+import random
+from array import array
+
 import pytest
 
 from repro.core import GreedyAligner, TryNAligner
 from repro.isa import link, link_identity
-from repro.sim.decisions import capture_decisions
+from repro.sim.decisions import T_BRANCH, DecisionTrace, capture_decisions
 from repro.sim.metrics import ALL_ARCHS, default_architectures, simulate
 from repro.sim.predictors import (
     BTBSim,
     DirectMappedPHT,
     FallthroughSim,
     LocalHistoryPHT,
+    SaturatingCounter,
     TournamentPHT,
 )
 from repro.sim.replay import ReplayMismatchError, replay
@@ -87,9 +92,9 @@ def test_replay_event_stream_identical(diamond_program):
     )
 
 
-def test_pht_subclasses_take_generic_path_and_still_match(loop_program):
+def test_pht_subclasses_take_generic_path_and_still_match(loop_program, generic_tier):
     """Tier dispatch is by exact type: subclasses must not inherit the
-    specialised fast feed (their overridden predict/update would be
+    slice tier's closed forms (their overridden predict/update would be
     skipped) — and the generic tier must still match execute."""
     from repro.profiling import profile_program
 
@@ -97,9 +102,9 @@ def test_pht_subclasses_take_generic_path_and_still_match(loop_program):
     linked = link_identity(loop_program)
     profile = profile_program(loop_program, seed=0)
     for make in (TournamentPHT, LocalHistoryPHT):
-        replayed = simulate(
-            linked, profile, archs=[make()], seed=0, trace=trace, engine="replay"
-        )
+        sim = make()
+        replayed = simulate(linked, profile, archs=[sim], seed=0, trace=trace, engine="replay")
+        assert generic_tier[-1] is sim
         executed = simulate(linked, profile, archs=[make()], seed=0, engine="execute")
         assert replayed == executed
 
@@ -199,3 +204,132 @@ class TestStreamModelConsistency:
         from repro.profiling.condmix import COND_KIND
 
         assert COND_KIND == tr.COND
+
+
+# -- the slice tier's closed forms and dispatch ----------------------------
+
+replay_module = importlib.import_module("repro.sim.replay")
+
+
+def _random_runs(rng, count=40):
+    """Alternating runs of templates 0 and 1 as ``(tid, length)`` pairs."""
+    tid = rng.randrange(2)
+    runs = []
+    for _ in range(rng.randrange(1, count)):
+        runs.append((tid, rng.randrange(1, 8)))
+        tid ^= 1
+    return runs
+
+
+@pytest.mark.parametrize("initial", [0, 1, 2, 3])
+@pytest.mark.parametrize("seed", range(25))
+def test_counter_closed_form_matches_per_event_loop(initial, seed):
+    rng = random.Random(seed)
+    runs = _random_runs(rng)
+    taken_tid = rng.randrange(2)
+    counter = SaturatingCounter(bits=2, value=initial)
+    mis_t = mis_n = 0
+    for tid, length in runs:
+        taken = tid == taken_tid
+        for _ in range(length):
+            if counter.predict_taken != taken:
+                if taken:
+                    mis_t += 1
+                else:
+                    mis_n += 1
+            counter.update(taken)
+    codes = [tid << 2 | min(length, 3) for tid, length in runs]
+    assert replay_module._counter_over_runs(codes, (taken_tid,), initial) == (
+        counter.value, mis_t, mis_n
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_btb_entry_closed_form_matches_per_event_loop(seed):
+    """One conditional site in a BTB set that never evicts."""
+    rng = random.Random(seed)
+    runs = _random_runs(rng)
+    taken_tid = rng.randrange(2)
+    site, target = 0x400, 0x800
+    stream = [tid for tid, length in runs for _ in range(length)]
+    trace = DecisionTrace(
+        [(T_BRANCH, "main", 0, 1), (T_BRANCH, "main", 0, 2)],
+        [stream.count(0), stream.count(1)],
+        [array("q", stream)],
+        len(stream),
+    )
+    slices = replay_module._Slices(trace, b"\x01\x01")
+    target_of = {taken_tid: target, taken_tid ^ 1: site + 4}
+    entry = replay_module._Site(tr.COND, 0)
+    for tid in slices.tids_of[0]:
+        entry.tids.append(tid)
+        entry.targets.append(target_of[tid])
+        if tid == taken_tid:
+            entry.taken.append(tid)
+
+    sim = BTBSim(64, 2)
+    for tid in stream:
+        sim.on_event((tr.COND, site, target_of[tid], tid == taken_tid))
+    line = sim.btb._set_for(site).get(site)
+
+    events, misses, misfetches, mispredicts, correct, closed_line = (
+        replay_module._btb_site(slices, entry, trace.counts)
+    )
+    assert (events, misses, misfetches) == (len(stream), sim.btb.misses, 0)
+    assert events - misses == sim.btb.hits
+    assert (mispredicts, correct) == (sim.counts.mispredicts, sim.counts.cond_correct)
+    assert closed_line == (None if line is None else (line.target, line.counter))
+
+
+@pytest.fixture
+def generic_tier(monkeypatch):
+    """Records every sim the replayer hands to the per-event generic tier."""
+    served = []
+
+    class Recording(replay_module._GenericFeed):
+        def __init__(self, listener):
+            served.append(listener)
+            super().__init__(listener)
+
+    monkeypatch.setattr(replay_module, "_GenericFeed", Recording)
+    return served
+
+
+def _suite_replay(archs=None, layout="greedy"):
+    program = generate_benchmark("eqntott", 0.1)
+    trace = capture_decisions(program, seed=0)
+    profile = trace.edge_profile(program)
+    linked = link(_layouts(program, profile)[layout])
+    simulate(linked, profile, archs=archs, seed=0, trace=trace, engine="replay")
+    return trace
+
+
+def test_default_architectures_take_the_slice_tier(generic_tier):
+    """Guard: an edit that silently drops the paper's architectures to the
+    slow per-event tier fails here, even though results stay identical."""
+    trace = _suite_replay()
+    assert generic_tier == []
+    assert trace._slices is not None
+
+
+def test_overflowing_btb_sets_replay_per_set_not_generic(generic_tier, monkeypatch):
+    """Only the over-subscribed sets' events are replayed one by one."""
+    fed = []
+    feed = replay_module._BTBFeed.feed
+
+    def recording_feed(self, chunk):
+        fed.extend(chunk)
+        feed(self, chunk)
+
+    monkeypatch.setattr(replay_module._BTBFeed, "feed", recording_feed)
+    sim = BTBSim(16, 2)
+    _suite_replay(archs=[sim])
+    assert generic_tier == []
+    assert 0 < len(fed) < (sim.btb.hits + sim.btb.misses) // 2
+
+
+def test_shared_pht_counters_replay_per_counter_not_generic(generic_tier):
+    sim = DirectMappedPHT(entries=4)
+    _suite_replay(archs=[sim])
+    assert generic_tier == []
+    assert sim.table.counters != [1, 1, 1, 1]

@@ -42,6 +42,22 @@ class TestTraceCache:
         result = _run(replay_check=True)
         assert not result.failures
 
+    def test_replay_check_env_var_reaches_the_runner(self, monkeypatch):
+        from repro.sim import metrics
+
+        checked = []
+        legacy = metrics._simulate_execute
+
+        def recording(*args, **kwargs):
+            checked.append(args)
+            return legacy(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_simulate_execute", recording)
+        monkeypatch.setenv("REPRO_REPLAY_CHECK", "1")
+        result = _run()
+        assert not result.failures
+        assert checked
+
     def test_no_cache_still_replays(self):
         result = _run()
         assert not result.failures
