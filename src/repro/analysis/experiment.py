@@ -278,41 +278,24 @@ def run_suite_experiment(
 ) -> List[BenchmarkExperiment]:
     """Run the experiment across several benchmarks (default: all 24).
 
-    The run goes through :mod:`repro.runner`.  Without a ``runner``
-    config it behaves as before — in-process, failing fast on the first
-    error — but with invariant validation at every stage boundary.  Pass
-    a :class:`repro.runner.RunnerConfig` for subprocess isolation,
-    timeouts, retries and checkpoint/resume; lost benchmarks then raise
-    unless the config captures them, in which case use
-    :func:`repro.runner.run_suite_resilient` directly to also see the
-    failure records.  Pass a :class:`repro.fabric.FabricConfig` instead
-    to route the suite through the fault-tolerant fabric (durable lease
-    queue, supervised workers, poison quarantine); use
-    :func:`repro.fabric.run_fabric` directly for the full provenance.
-    ``algorithms`` restricts the competing aligners (default: the whole
-    registry) and is threaded through both execution paths.
+    The run goes through :func:`repro.runner.run_units`.  Without a
+    ``runner`` config it runs in-process and fails fast on the first
+    error, with invariant validation at every stage boundary.  A
+    :class:`repro.runner.RunnerConfig` sets the per-unit switches
+    (oracle, prover, lint, ...) and the inline retry policy; lost
+    benchmarks are then dropped unless ``fail_fast`` re-raises them —
+    use :func:`repro.runner.run_suite_resilient` directly to also see
+    the failure records.  A :class:`repro.fabric.FabricConfig` runs the
+    units isolated through the fault-tolerant fabric (supervised
+    workers, per-unit wall-clock budget, durable queue).  ``algorithms``
+    restricts the competing aligners (default: the whole registry) and
+    is threaded through both execution paths.
     """
-    from ..fabric import FabricConfig, run_fabric
     from ..runner import RunnerConfig, run_suite_resilient
 
-    if isinstance(runner, FabricConfig):
-        from ..runner.runner import UnitTask
-        from ..workloads import SUITE
-
-        tasks = [
-            UnitTask(
-                kind="experiment", benchmark=name, scale=scale, seed=seed,
-                window=window, archs=tuple(archs),
-                algorithms=tuple(algorithms) if algorithms is not None else None,
-                profile_source=profile_source,
-            )
-            for name in (list(names) if names is not None else list(SUITE))
-        ]
-        return list(run_fabric(tasks, runner).results)
-
-    config = runner if runner is not None else RunnerConfig(fail_fast=True)
     result = run_suite_resilient(
-        names, scale=scale, seed=seed, window=window, archs=archs, config=config,
+        names, scale=scale, seed=seed, window=window, archs=archs,
+        config=runner if runner is not None else RunnerConfig(fail_fast=True),
         algorithms=algorithms, profile_source=profile_source,
     )
     return result.results

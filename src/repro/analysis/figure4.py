@@ -102,29 +102,15 @@ def run_figure4(
 ) -> List[Figure4Row]:
     """Model Figure 4's hardware measurement for the given programs.
 
-    Runs through :mod:`repro.runner`; the default config matches the old
+    Runs through :func:`repro.runner.run_units`; ``runner`` is a
+    :class:`repro.runner.RunnerConfig` or a
+    :class:`repro.fabric.FabricConfig`, and the default matches the old
     in-process fail-fast behaviour (see :func:`run_suite_experiment`).
-    Pass a :class:`repro.fabric.FabricConfig` as ``runner`` to route the
-    rows through the fault-tolerant fabric instead.
     """
-    from ..fabric import FabricConfig, run_fabric
     from ..runner import RunnerConfig, run_figure4_resilient
 
-    if isinstance(runner, FabricConfig):
-        from ..runner.runner import UnitTask
-
-        tasks = [
-            UnitTask(
-                kind="figure4", benchmark=name, scale=scale, seed=seed,
-                window=window, alpha_config=config,
-            )
-            for name in names
-        ]
-        return list(run_fabric(tasks, runner).results)
-
-    runner_config = runner if runner is not None else RunnerConfig(fail_fast=True)
     result = run_figure4_resilient(
-        names, scale=scale, seed=seed, window=window,
-        alpha_config=config, config=runner_config,
+        names, scale=scale, seed=seed, window=window, alpha_config=config,
+        config=runner if runner is not None else RunnerConfig(fail_fast=True),
     )
     return result.results

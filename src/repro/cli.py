@@ -13,8 +13,9 @@ Gives the library's main workflows a shell entry point:
   cost and fall-through rate (``--arena`` shards benchmark x algorithm
   units across the fabric);
 * ``table2`` / ``table3`` / ``table4`` / ``figure4`` — regenerate the
-  paper's evaluation artifacts (through the resilient runner: per-
-  benchmark isolation, timeouts, retries, checkpoint/resume);
+  paper's evaluation artifacts (through the resilient runner: retries
+  inline; per-benchmark isolation, timeouts and checkpoint/resume
+  through the fabric);
 * ``lint`` — run the static verifier passes (``repro.staticcheck``)
   over a benchmark's CFG, profile and layouts; ``--estimate`` adds the
   trace-free branch-cost estimate cross-validated against the simulator;
@@ -55,7 +56,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from .fabric import FabricConfig
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -147,8 +152,11 @@ def _benchmark_list(value: Optional[str]) -> Optional[List[str]]:
     return names
 
 
-def _runner_config(args: argparse.Namespace) -> RunnerConfig:
-    """Build the resilient-runner configuration from table/figure flags."""
+def _runner_config(
+    args: argparse.Namespace,
+) -> Tuple[RunnerConfig, Optional["FabricConfig"]]:
+    """Build the runner's per-unit switches, and the fabric config when
+    the table/figure flags ask for isolation or a checkpoint."""
     faults = None
     if getattr(args, "inject", None):
         try:
@@ -185,14 +193,29 @@ def _runner_config(args: argparse.Namespace) -> RunnerConfig:
     if args.timeout is not None and args.timeout <= 0:
         raise UsageError("--timeout must be positive")
     if args.resume and args.checkpoint is None:
-        raise UsageError("--resume requires --checkpoint FILE")
-    return RunnerConfig(
-        isolate=args.isolate or args.timeout is not None or args.workers > 1,
-        max_workers=args.workers,
-        timeout=args.timeout,
-        retry=RetryPolicy(max_attempts=args.retries),
-        checkpoint=args.checkpoint,
-        resume=args.resume,
+        raise UsageError("--resume requires --checkpoint DIR")
+    if args.checkpoint is not None and Path(args.checkpoint).is_file():
+        raise UsageError(
+            f"--checkpoint {args.checkpoint} is a file; --checkpoint now "
+            f"names a queue directory (old JSONL journals cannot be resumed)"
+        )
+    retry = RetryPolicy(max_attempts=args.retries)
+    fabric = None
+    if (args.isolate or args.workers > 1 or args.timeout is not None
+            or args.checkpoint is not None):
+        from .fabric import FabricConfig
+
+        fabric = FabricConfig(
+            workers=args.workers,
+            timeout=args.timeout,
+            retry=retry,
+            queue_dir=args.checkpoint,
+            resume=args.resume,
+            faults=faults,
+            seed=args.seed,
+        )
+    config = RunnerConfig(
+        retry=retry,
         faults=faults,
         oracle=args.oracle,
         prove=getattr(args, "prove", False),
@@ -203,6 +226,7 @@ def _runner_config(args: argparse.Namespace) -> RunnerConfig:
         replay_check=getattr(args, "replay_check", False),
         trace_cache=getattr(args, "trace_cache", None),
     )
+    return config, fabric
 
 
 def _finish_suite(
@@ -331,9 +355,10 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def _suite_table(args: argparse.Namespace, archs: Sequence[str], render) -> int:
     names = _benchmark_list(args.benchmarks) or list(SUITE)
+    config, fabric = _runner_config(args)
     result = run_suite_resilient(
         names, scale=args.scale, seed=args.seed, window=args.window,
-        archs=archs, config=_runner_config(args),
+        archs=archs, config=config, fabric=fabric,
     )
     if args.csv:
         text = records_to_csv(experiment_records(result.results)).rstrip()
@@ -354,9 +379,10 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     names = _benchmark_list(args.benchmarks)
     from .workloads import FIGURE4_PROGRAMS
     selected = names if names is not None else list(FIGURE4_PROGRAMS)
+    config, fabric = _runner_config(args)
     result = run_figure4_resilient(
         selected, scale=args.scale, seed=args.seed, window=args.window,
-        config=_runner_config(args),
+        config=config, fabric=fabric,
     )
     if args.csv:
         text = records_to_csv(figure4_records(result.results)).rstrip()
@@ -1802,14 +1828,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def runner_flags(p):
         g = p.add_argument_group("resilient runner")
-        g.add_argument("--checkpoint", metavar="PATH",
-                       help="journal completed benchmarks to a JSONL checkpoint")
+        g.add_argument("--checkpoint", metavar="DIR",
+                       help="run through the fabric with a durable queue "
+                            "directory that checkpoints every finished "
+                            "benchmark (inspect with doctor --fabric DIR)")
         g.add_argument("--resume", action="store_true",
-                       help="resume from the checkpoint, re-running only "
+                       help="resume the --checkpoint queue, re-running only "
                             "unfinished/failed benchmarks")
         g.add_argument("--isolate", action="store_true",
-                       help="run each benchmark in a worker subprocess "
-                            "(crashes become per-benchmark failures)")
+                       help="run each benchmark in a supervised fabric "
+                            "worker process (crashes become per-benchmark "
+                            "failures)")
         g.add_argument("--timeout", type=float, metavar="SECONDS",
                        help="per-benchmark wall-clock budget (implies --isolate)")
         g.add_argument("--retries", type=int, default=3, metavar="N",

@@ -14,9 +14,9 @@ knobs that determine its result.  The scheduler owns their lifecycle:
   double-completing the unit;
 * **done** — the unit's payload is persisted (before the state flips, so
   ``done`` always implies the result exists);
-* **failed** — retries exhausted, or a non-retryable failure; failed
-  units re-run on resume, exactly like the checkpoint journal's
-  failures;
+* **failed** — retries exhausted, or a non-retryable failure (an
+  overrun of the per-unit wall-clock budget included); failed units
+  re-run on resume;
 * **quarantined** — the unit crashed ``poison_threshold`` *distinct*
   workers.  Poison units are recorded with their tracebacks, reported,
   and never retried: the sweep degrades gracefully instead of crash-
@@ -33,6 +33,8 @@ undecodable records, and re-runs exactly the units whose work was lost.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -40,7 +42,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..atomicio import atomic_write_text
-from ..runner.checkpoint import config_fingerprint
 from ..runner.errors import FatalError
 from ..runner.retry import RetryPolicy, retry_rng
 from ..runner.runner import UnitTask
@@ -74,6 +75,12 @@ class QueueMismatch(FabricError):
     """A queue directory was written by a different sweep configuration."""
 
 
+def config_fingerprint(config: Dict[str, object]) -> str:
+    """A short stable digest of a JSON-able configuration."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 def unit_fingerprint(task: UnitTask) -> str:
     """A stable digest of exactly the knobs that determine a unit's result."""
     summary: Dict[str, object] = {
@@ -86,6 +93,12 @@ def unit_fingerprint(task: UnitTask) -> str:
         "min_weight": task.min_weight,
         "engine": task.engine,
         "algorithms": list(task.algorithms) if task.algorithms is not None else None,
+        "meld": task.meld,
+        "profile_source": task.profile_source,
+        "alpha_config": (
+            dataclasses.asdict(task.alpha_config)
+            if task.alpha_config is not None else None
+        ),
     }
     return config_fingerprint(summary)
 
@@ -728,9 +741,9 @@ class Scheduler:
         header, loaded, corrupt = load_queue_dir(self.root)
         if header.get("fingerprint") != self.fingerprint:
             raise QueueMismatch(
-                f"{self.root}: queue was written by a different sweep "
-                f"(fingerprint {header.get('fingerprint')!r}, this sweep "
-                f"{self.fingerprint!r}); refusing to resume"
+                f"{self.root}: queue was written by a different run "
+                f"configuration (fingerprint {header.get('fingerprint')!r}, "
+                f"this run {self.fingerprint!r}); refusing to resume"
             )
         if corrupt:
             quarantine = self.root / QUARANTINE_DIR
@@ -770,7 +783,7 @@ class Scheduler:
                 )
                 old.not_before = 0.0
             elif old.state == FAILED:
-                # Failed units re-run on resume, like journal failures.
+                # Failed units re-run on resume.
                 old.state = PENDING
                 old.not_before = 0.0
             merged.append(old)

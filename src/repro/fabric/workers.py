@@ -17,6 +17,13 @@ robustness properties:
   and the unit re-leased to a healthy worker; the original worker's late
   result arrives under a stale token and is *rejected* — a unit can be
   attempted twice, but never counted twice;
+* a unit that overruns the per-unit wall-clock budget
+  (``FabricConfig.timeout``) has its worker killed even while its
+  heartbeats still flow (a livelocked unit), and is failed as a
+  non-retryable ``timeout`` — never charged as a crash, so a slow unit
+  cannot be quarantined as poison;
+* a worker whose supervisor disappears (SIGKILL) exits on its next
+  heartbeat tick instead of lingering as an orphan;
 * a unit that crashes ``poison_threshold`` distinct workers is
   **quarantined** by the scheduler as a poison unit — recorded with its
   tracebacks, reported, never retried;
@@ -25,9 +32,9 @@ robustness properties:
   the durable queue is cleanly resumable, and the pool shuts down.
 
 Workers execute :func:`repro.runner.runner.execute_unit` — exactly the
-same unit body as the classic resilient runner — so everything the
-pipeline already validates (invariants, lint, oracle, proofs) holds
-unchanged under the fabric.
+unit body of the runner's inline path — so everything the pipeline
+already validates (invariants, lint, oracle, proofs) holds unchanged
+under the fabric.
 """
 
 from __future__ import annotations
@@ -59,7 +66,15 @@ from ..runner.runner import (
     execute_unit,
     payload_to_result,
 )
-from .scheduler import DONE, FAILED, LEASED, QUARANTINED, Scheduler, UnitRecord
+from .scheduler import (
+    DONE,
+    FAILED,
+    LEASED,
+    PENDING,
+    QUARANTINED,
+    Scheduler,
+    UnitRecord,
+)
 
 
 @dataclass(frozen=True)
@@ -96,6 +111,10 @@ class FabricConfig:
     #: workers lease from the same queue as the local pipe workers — and
     #: ``workers=0`` runs a coordinator-only sweep.
     listen: Optional[str] = None
+    #: Per-unit wall-clock budget in seconds (None = unlimited), enforced
+    #: on the local pipe workers: a unit leased longer is failed as a
+    #: non-retryable ``timeout`` and its worker killed.
+    timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -112,6 +131,13 @@ class FabricConfig:
             raise ValueError("poison_threshold must be >= 1")
         if self.drain_timeout < 0:
             raise ValueError("drain_timeout must be non-negative")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError("timeout must be positive")
+        if self.timeout is not None and self.listen is not None:
+            raise ValueError(
+                "timeout is enforced on local pipe workers only; "
+                "it cannot be combined with listen"
+            )
 
     @property
     def heartbeat_interval(self) -> float:
@@ -149,6 +175,7 @@ def _worker_main(
         pass
 
     injector = FaultInjector(faults)
+    supervisor = os.getppid()
     send_lock = threading.Lock()
     current: Dict[str, Any] = {"unit": None, "token": 0}
     stalled = threading.Event()
@@ -163,6 +190,11 @@ def _worker_main(
 
     def beat() -> None:
         while not stopping.wait(heartbeat_interval):
+            if os.getppid() != supervisor:
+                # Orphaned: the supervisor died without closing our pipe
+                # (forked siblings hold copies of its ends, so recv()
+                # never sees EOF).  Nobody will read our result.
+                os._exit(0)
             if stalled.is_set():
                 continue  # an injected stall: fall silent, stay alive
             unit = current["unit"]
@@ -247,6 +279,8 @@ class WorkerHandle:
     token: int = 0
     benchmark: str = ""
     last_beat: float = 0.0
+    #: When the worker was handed its current unit (the budget's origin).
+    started: float = 0.0
     dying_note: Optional[str] = None
 
 
@@ -391,11 +425,9 @@ class FabricSupervisor:
                 )
             self._discard(handle)
 
-    def _kill(self, handle: WorkerHandle, why: str, now: float) -> None:
-        """Kill one worker (stall), charging its unit a crash."""
-        if handle.unit is not None:
-            self.queue.crash(handle.unit, handle.token, handle.worker_id, why, now)
-            handle.unit = None
+    def _kill(self, handle: WorkerHandle) -> None:
+        """Terminate one worker and drop it from the pool."""
+        handle.unit = None
         try:
             handle.process.terminate()
         except Exception:  # pragma: no cover - process already gone
@@ -407,18 +439,41 @@ class FabricSupervisor:
         self._discard(handle)
 
     def _detect_stalls(self, now: float) -> None:
+        """Kill every busy worker gone silent, charging its unit a crash."""
         for handle in list(self.handles):
             if handle.unit is None:
                 continue
             silent = now - handle.last_beat
             if silent > self.config.stall_after:
-                self._kill(
-                    handle,
+                self.queue.crash(
+                    handle.unit, handle.token, handle.worker_id,
                     f"worker {handle.worker_id} missed "
                     f"{self.config.missed_heartbeats} heartbeat(s) "
                     f"({silent:.2f}s silent) and was killed",
                     now,
                 )
+                self._kill(handle)
+
+    def _enforce_budget(self, now: float) -> None:
+        """Fail every unit that overran the wall-clock budget; kill its worker.
+
+        The unit is failed, not crashed, so the overrun never counts
+        toward poison quarantine.
+        """
+        budget = self.config.timeout
+        if budget is None:
+            return
+        for handle in list(self.handles):
+            if handle.unit is None or now - handle.started <= budget:
+                continue
+            self.queue.fail(
+                handle.unit, handle.token,
+                {"stage": "fabric", "kind": "timeout",
+                 "message": f"{handle.benchmark} exceeded the {budget:g}s "
+                            f"wall-clock budget and its worker was killed"},
+                False, now,
+            )
+            self._kill(handle)
 
     def _supervisor_faults(self, record: UnitRecord, now: float) -> None:
         """Apply the supervisor-side fabric faults to a fresh lease."""
@@ -452,11 +507,15 @@ class FabricSupervisor:
                     False, now,
                 )
                 continue
-            task = replace(task, attempt=record.attempts, faults=self.config.faults)
+            # A plan stamped on the task (run_units does) must reach the
+            # worker; the sweep-wide plan covers tasks that carry none.
+            faults = task.faults if task.faults is not None else self.config.faults
+            task = replace(task, attempt=record.attempts, faults=faults)
             handle.unit = record.unit_id
             handle.token = token
             handle.benchmark = record.benchmark
             handle.last_beat = now
+            handle.started = now
             handle.dying_note = None
             try:
                 handle.conn.send(("run", task, record.unit_id, token))
@@ -484,6 +543,7 @@ class FabricSupervisor:
                         self._pump(handle, now)
                     self.queue.expire(now)
                     self._detect_stalls(now)
+                    self._enforce_budget(now)
                     if not self.draining:
                         while len(self.handles) < self.config.workers:
                             self._spawn()
@@ -568,9 +628,34 @@ class FabricRunResult:
     def counts(self) -> Dict[str, int]:
         return self.scheduler.counts()
 
+    def payload(self, unit_id: str) -> Optional[Dict[str, object]]:
+        """A done unit's result payload (None for any other state)."""
+        if self.scheduler.record(unit_id).state != DONE:
+            return None
+        return self.scheduler.get_payload(unit_id)
+
     def to_suite_result(self) -> SuiteRunResult:
-        """Bridge to the classic runner's result type (tables, banners)."""
+        """Bridge to the runner's result type (tables, banners).
+
+        Quarantined units become ``poison`` failures, and units a drain
+        left unsettled become ``drained`` failures, so a lossy run is
+        always ``partial``.
+        """
         failures = list(self.failures)
+        for unit_id in self.scheduler.order:
+            record = self.scheduler.record(unit_id)
+            if record.state in (PENDING, LEASED):
+                failures.append(
+                    BenchmarkFailure(
+                        benchmark=record.benchmark,
+                        stage="fabric",
+                        kind="drained",
+                        message=f"drained ({self.drain_reason}) before the "
+                                f"unit finished; resume to run it",
+                        attempts=record.attempts,
+                        retryable=False,
+                    )
+                )
         for record in self.quarantined:
             failure = record.failure or {}
             failures.append(

@@ -11,7 +11,11 @@ three families, because the *response* differs per family:
   permutation, an address map with holes).  Retrying cannot help; the
   unit is failed immediately and reported.
 * :class:`FatalError` — everything else that ends a unit for good:
-  worker crashes, wall-clock timeouts, corrupt checkpoints.
+  corrupt payloads, bad queues, broken fault plans.
+
+Worker crashes and wall-clock timeouts happen outside the unit, so they
+are not exceptions at all: the fabric records them on the unit's queue
+record (kinds ``crash``, ``poison`` and ``timeout``).
 
 Exceptions raised inside a benchmark unit carry a best-effort
 ``stage`` attribute (set via :func:`annotate_stage`) naming the pipeline
@@ -43,20 +47,8 @@ class ValidationError(RunnerError):
     """A pipeline invariant was violated; retrying cannot help."""
 
 
-class BenchmarkTimeout(FatalError):
-    """A benchmark unit exceeded its wall-clock budget and was killed."""
-
-
-class WorkerCrash(FatalError):
-    """The worker process executing a unit died without reporting back."""
-
-
 class CheckpointError(FatalError):
-    """A checkpoint journal is unreadable or structurally invalid."""
-
-
-class CheckpointMismatch(CheckpointError):
-    """A checkpoint journal was written under a different configuration."""
+    """A checkpointed result payload is unreadable or malformed."""
 
 
 def annotate_stage(exc: BaseException, stage: str) -> BaseException:
@@ -89,10 +81,6 @@ def classify(exc: BaseException) -> str:
 
     if isinstance(exc, ProfileCorruptError):
         return "validation"
-    if isinstance(exc, BenchmarkTimeout):
-        return "timeout"
-    if isinstance(exc, WorkerCrash):
-        return "crash"
     if isinstance(exc, CheckpointError):
         return "checkpoint"
     if isinstance(exc, FatalError):

@@ -1,21 +1,23 @@
 """The resilient experiment runner.
 
 Wraps the per-benchmark experiment units of ``analysis.experiment`` and
-``analysis.figure4`` with the reliability properties of a batch service:
+``analysis.figure4`` with the reliability properties of a batch service.
+:func:`run_units` is the one place that picks an executor:
 
-* **fault isolation** — with ``isolate=True`` (implied by a timeout)
-  each unit runs in a worker subprocess via
-  :class:`concurrent.futures.ProcessPoolExecutor`; a crash, hang or
-  OOM-kill in one benchmark becomes a structured
-  :class:`BenchmarkFailure` record instead of killing the suite;
-* **wall-clock timeouts** — hung units are detected and their worker
-  processes terminated;
-* **retry with exponential backoff + jitter** — transient failures
-  (and, configurably, worker crashes) re-run up to
-  ``RetryPolicy.max_attempts`` times;
-* **checkpoint/resume** — finished units are journaled to a JSONL
-  checkpoint keyed by a config fingerprint, so interrupted suite runs
-  resume where they stopped and only failed benchmarks re-execute;
+* **inline** (the default, used by the library entry points) — units
+  run one after another in this process; transient failures re-run up
+  to ``RetryPolicy.max_attempts`` times with exponential backoff +
+  jitter;
+* **the fabric** (a :class:`repro.fabric.FabricConfig`) — units run
+  isolated in supervised worker processes off a durable lease queue
+  (see :mod:`repro.fabric`): a crash, hang or OOM-kill in one benchmark
+  becomes a structured :class:`BenchmarkFailure` record instead of
+  killing the suite; ``FabricConfig.timeout`` kills units that overrun
+  their wall-clock budget; with a ``queue_dir`` every finished unit is
+  checkpointed and an interrupted run resumes where it stopped.
+
+Either way every unit gets the same per-unit switches:
+
 * **invariant validation** — profile, layout and address-map checks run
   at stage boundaries (see :mod:`repro.runner.validate`);
 * **static lint** — with ``lint=True`` the verifier passes of
@@ -28,8 +30,8 @@ Wraps the per-benchmark experiment units of ``analysis.experiment`` and
   :class:`ValidationError`, failed immediately and never retried;
 * **artifact custody** — with ``store`` set, unit results are persisted
   through the crash-safe checksummed :class:`~repro.runner.store.ArtifactStore`
-  and re-verified on write and on resume; corrupt artifacts are
-  quarantined and their benchmarks re-run;
+  and re-verified on write; a result restored from a resumed queue is
+  written again, so a damaged store copy heals;
 * **explicit degradation** — a run that lost benchmarks returns
   ``partial`` results plus a per-benchmark failure table; it is never
   silent.
@@ -38,13 +40,10 @@ Wraps the per-benchmark experiment units of ``analysis.experiment`` and
 from __future__ import annotations
 
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.experiment import (
     TRY_MODEL_ARCHS,
@@ -58,14 +57,11 @@ from ..sim.alpha import AlphaConfig
 from ..sim.decisions import load_or_capture, trace_fingerprint, trace_key
 from ..sim.metrics import ALL_ARCHS
 from ..workloads import SUITE, FIGURE4_PROGRAMS, generate_benchmark
-from .checkpoint import CheckpointJournal, config_fingerprint
 from .errors import (
-    BenchmarkTimeout,
     CheckpointError,
     FatalError,
     TransientError,
     ValidationError,
-    WorkerCrash,
     annotate_stage,
     classify,
     stage_of,
@@ -75,39 +71,31 @@ from .retry import RetryPolicy, retry_rng
 from .store import ArtifactCorruptError, ArtifactStore
 from .validate import validate_profile
 
+if TYPE_CHECKING:  # the fabric is imported only when a run goes through it
+    from ..fabric.workers import FabricConfig
+
 
 # ----------------------------------------------------------------------
 # Configuration and result types
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RunnerConfig:
-    """How resilient a suite run should be.
+    """The per-unit switches of a suite run, plus the inline retry policy.
 
-    The default configuration runs units inline (no subprocess), with
-    validation on and no checkpointing — the cheapest mode, used by the
-    library-level drivers.  The CLI enables isolation, timeouts and
-    checkpointing on top.
+    The default configuration runs units inline (no subprocess) with
+    validation on — the cheapest mode, used by the library entry
+    points.  Isolation, timeouts and checkpoint/resume come from
+    handing :func:`run_units` a :class:`repro.fabric.FabricConfig`.
     """
 
-    #: Run each unit in a worker subprocess (implied by ``timeout``).
-    isolate: bool = False
-    #: Concurrent worker processes when isolated.
-    max_workers: int = 1
-    #: Per-benchmark wall-clock budget in seconds (None = unlimited).
-    timeout: Optional[float] = None
+    #: Inline retry policy for transient failures (the fabric has its own).
     retry: RetryPolicy = RetryPolicy()
-    #: JSONL checkpoint journal path (None disables checkpointing).
-    checkpoint: Optional[Union[str, Path]] = None
-    #: Resume from an existing checkpoint instead of starting fresh.
-    resume: bool = False
     #: Run invariant validation at stage boundaries.
     validate: bool = True
     #: Deterministic fault-injection plan (tests/demos only).
     faults: Optional[FaultPlan] = None
-    #: Whether timeouts / worker crashes count as retryable.
-    retry_timeouts: bool = False
-    retry_crashes: bool = True
-    #: Re-raise the first failure instead of recording it (legacy mode).
+    #: Re-raise the first failure instead of recording it (legacy mode,
+    #: inline only).
     fail_fast: bool = False
     #: Differentially verify every aligned layout (see ``repro.oracle``).
     oracle: bool = False
@@ -142,34 +130,12 @@ class BenchmarkFailure:
 
     benchmark: str
     stage: str
-    kind: str  # transient | validation | timeout | crash | fatal | error
+    kind: str  # transient | validation | timeout | crash | poison | drained | fatal | error
     message: str
     attempts: int
     retryable: bool
-    #: The underlying exception when available (not serialised).
+    #: The underlying exception when available (inline runs only).
     error: Optional[BaseException] = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        """Serialise for checkpoint journaling (drops the live exception)."""
-        return {
-            "benchmark": self.benchmark,
-            "stage": self.stage,
-            "kind": self.kind,
-            "message": self.message,
-            "attempts": self.attempts,
-            "retryable": self.retryable,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchmarkFailure":
-        return cls(
-            benchmark=str(data.get("benchmark", "?")),
-            stage=str(data.get("stage", "unknown")),
-            kind=str(data.get("kind", "error")),
-            message=str(data.get("message", "")),
-            attempts=int(data.get("attempts", 1)),
-            retryable=bool(data.get("retryable", False)),
-        )
 
 
 @dataclass
@@ -180,7 +146,7 @@ class SuiteRunResult:
     #: in requested benchmark order.
     results: List[object]
     failures: List[BenchmarkFailure]
-    #: Benchmarks restored from the checkpoint instead of re-run.
+    #: Benchmarks restored from the checkpoint queue instead of re-run.
     skipped: List[str]
     #: Benchmarks actually executed this run.
     executed: List[str]
@@ -445,7 +411,7 @@ def _run_prove(task: UnitTask, program, layouts) -> None:
 
 
 # ----------------------------------------------------------------------
-# Payload (de)serialisation — checkpoint records and subprocess returns
+# Payload (de)serialisation — queue results and worker returns
 # ----------------------------------------------------------------------
 def experiment_to_dict(experiment: BenchmarkExperiment) -> dict:
     return {
@@ -484,7 +450,7 @@ def experiment_from_dict(data: dict) -> BenchmarkExperiment:
                 }
                 for aligner, cells in data["outcomes"].items()
             },
-            # Absent in pre-registry checkpoints; tolerate those.
+            # Absent in pre-registry payloads; tolerate those.
             skips={
                 aligner: dict(reasons)
                 for aligner, reasons in data.get("skips", {}).items()
@@ -526,35 +492,22 @@ def payload_to_result(payload: dict) -> object:
 
 
 # ----------------------------------------------------------------------
-# Failure handling
+# Execution
 # ----------------------------------------------------------------------
-def _is_retryable(exc: BaseException, config: RunnerConfig) -> bool:
-    if isinstance(exc, TransientError):
-        return True
-    if isinstance(exc, BenchmarkTimeout):
-        return config.retry_timeouts
-    if isinstance(exc, WorkerCrash):
-        return config.retry_crashes
-    return False
-
-
 def _failure_from_exception(
-    task: UnitTask, exc: BaseException, attempts: int, config: RunnerConfig
+    task: UnitTask, exc: BaseException, attempts: int
 ) -> BenchmarkFailure:
     return BenchmarkFailure(
         benchmark=task.benchmark,
-        stage=stage_of(exc, "subprocess" if isinstance(exc, (WorkerCrash, BenchmarkTimeout)) else "unknown"),
+        stage=stage_of(exc),
         kind=classify(exc),
         message=f"{type(exc).__name__}: {exc}",
         attempts=attempts,
-        retryable=_is_retryable(exc, config),
+        retryable=isinstance(exc, TransientError),
         error=exc,
     )
 
 
-# ----------------------------------------------------------------------
-# Execution loops
-# ----------------------------------------------------------------------
 def _run_inline(
     pending: Sequence[UnitTask],
     config: RunnerConfig,
@@ -571,7 +524,7 @@ def _run_inline(
             except Exception as exc:
                 if config.fail_fast:
                     raise
-                if _is_retryable(exc, config) and attempt < config.retry.max_attempts:
+                if isinstance(exc, TransientError) and attempt < config.retry.max_attempts:
                     rng = retry_rng(task.seed, f"{task.benchmark}:{attempt}")
                     delay = config.retry.delay(attempt, rng)
                     # Per-unit cumulative backoff budget: once a unit has
@@ -582,242 +535,64 @@ def _run_inline(
                         slept += delay
                         attempt += 1
                         continue
-                on_failure(_failure_from_exception(task, exc, attempt, config))
+                on_failure(_failure_from_exception(task, exc, attempt))
                 break
             else:
                 on_success(task.benchmark, payload)
                 break
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Terminate a pool's worker processes (hung or poisoned pool).
-
-    Idempotent: an already-shut-down pool's ``_processes`` map may be
-    ``None`` rather than empty, and ``shutdown`` may be re-entered by a
-    ``finally`` after an exceptional teardown — neither may raise or
-    leak processes.
-    """
-    for process in list((getattr(pool, "_processes", None) or {}).values()):
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - process already gone
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - interpreter teardown races
-        pass
-
-
-def _run_isolated(
-    pending: Sequence[UnitTask],
-    config: RunnerConfig,
-    on_success: Callable[[str, dict], None],
-    on_failure: Callable[[BenchmarkFailure], None],
+def _keep_in_store(
+    store: ArtifactStore,
+    injector: FaultInjector,
+    kinds: Dict[str, str],
+    payloads: Dict[str, dict],
+    failures: Dict[str, BenchmarkFailure],
 ) -> None:
-    """Execute units in worker subprocesses with timeout enforcement.
-
-    A hang (unit exceeding ``config.timeout``) terminates the worker
-    pool: the hung unit fails with :class:`BenchmarkTimeout`, innocent
-    in-flight units are re-queued without being charged an attempt, and
-    a fresh pool takes over.  A worker that dies (hard crash, OOM kill)
-    breaks the pool; every in-flight unit is charged a
-    :class:`WorkerCrash` attempt — the crasher exhausts its retries
-    while innocent victims succeed on re-run.
-    """
-    queue = deque((task, 1) for task in pending)
-    inflight: Dict[object, Tuple[UnitTask, int, float]] = {}
-    pool: Optional[ProcessPoolExecutor] = None
-    poll = 0.05
-    slept: Dict[str, float] = {}
-
-    def settle(task: UnitTask, attempt: int, exc: BaseException) -> None:
-        if config.fail_fast:
-            raise exc
-        if _is_retryable(exc, config) and attempt < config.retry.max_attempts:
-            rng = retry_rng(task.seed, f"{task.benchmark}:{attempt}")
-            delay = config.retry.delay(attempt, rng)
-            # Per-unit cumulative backoff budget (max_total_delay).
-            if config.retry.within_budget(slept.get(task.benchmark, 0.0), delay):
-                time.sleep(delay)
-                slept[task.benchmark] = slept.get(task.benchmark, 0.0) + delay
-                queue.append((task, attempt + 1))
-                return
-        on_failure(_failure_from_exception(task, exc, attempt, config))
-
-    def collect(future: object, task: UnitTask, attempt: int) -> bool:
-        """Absorb one finished future; True when it broke the pool."""
+    """Persist every finished unit's payload; a copy that fails its
+    read-back check is quarantined and its benchmark fails at ``store``."""
+    for name, payload in list(payloads.items()):
+        key = f"{kinds[name]}/{name}"
+        path = store.put(key, payload)
+        injector.corrupt_artifact(name, 1, path)
         try:
-            payload = future.result()
-        except (BrokenProcessPool, CancelledError, EOFError, OSError) as exc:
-            settle(
-                task,
-                attempt,
-                WorkerCrash(
-                    f"worker process died while {task.benchmark} was in flight "
-                    f"({type(exc).__name__})"
-                ),
+            store.verify(key)
+        except ArtifactCorruptError as exc:
+            annotate_stage(exc, "store")
+            store.quarantine(key)
+            del payloads[name]
+            failures[name] = BenchmarkFailure(
+                benchmark=name,
+                stage="store",
+                kind=classify(exc),
+                message=f"{type(exc).__name__}: {exc}",
+                attempts=1,
+                retryable=False,
+                error=exc,
             )
-            return True
-        except Exception as exc:
-            settle(task, attempt, exc)
-            return False
-        else:
-            on_success(task.benchmark, payload)
-            return False
-
-    try:
-        while queue or inflight:
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=config.max_workers)
-            while queue and len(inflight) < config.max_workers:
-                task, attempt = queue.popleft()
-                future = pool.submit(execute_unit, replace(task, attempt=attempt))
-                inflight[future] = (task, attempt, time.monotonic())
-
-            done, _ = wait(set(inflight), timeout=poll, return_when=FIRST_COMPLETED)
-            pool_broken = False
-            for future in done:
-                task, attempt, _started = inflight.pop(future)
-                pool_broken |= collect(future, task, attempt)
-            if pool_broken:
-                _kill_pool(pool)
-                pool = None
-
-            if config.timeout is not None and inflight:
-                now = time.monotonic()
-                hung = {
-                    future
-                    for future, (_t, _a, started) in inflight.items()
-                    if now - started > config.timeout
-                }
-                if hung:
-                    victims = dict(inflight)
-                    inflight.clear()
-                    finished = {f: f.done() for f in victims}
-                    if pool is not None:
-                        _kill_pool(pool)
-                        pool = None
-                    for future, (task, attempt, _started) in victims.items():
-                        if future in hung:
-                            settle(
-                                task,
-                                attempt,
-                                BenchmarkTimeout(
-                                    f"{task.benchmark} exceeded the "
-                                    f"{config.timeout:g}s wall-clock budget and "
-                                    f"its worker was killed"
-                                ),
-                            )
-                        elif finished[future]:
-                            collect(future, task, attempt)
-                        else:
-                            # Killed alongside the hung unit through no
-                            # fault of its own: re-queue, attempt unchanged.
-                            queue.appendleft((task, attempt))
-    finally:
-        if pool is not None:
-            _kill_pool(pool)
 
 
-# ----------------------------------------------------------------------
-# Suite orchestration
-# ----------------------------------------------------------------------
-def _fingerprint(tasks: Sequence[UnitTask]) -> Tuple[str, dict]:
-    head = tasks[0]
-    summary = {
-        "unit": head.kind,
-        "benchmarks": [t.benchmark for t in tasks],
-        "scale": head.scale,
-        "seed": head.seed,
-        "window": head.window,
-        "archs": list(head.archs),
-        "min_weight": head.min_weight,
-        "meld": head.meld,
-        "algorithms": list(head.algorithms) if head.algorithms is not None else None,
-        "profile_source": head.profile_source,
-    }
-    return config_fingerprint(summary), summary
+def run_units(
+    tasks: Sequence[UnitTask],
+    config: Union[RunnerConfig, "FabricConfig", None] = None,
+    fabric: Optional["FabricConfig"] = None,
+) -> SuiteRunResult:
+    """Run a list of benchmark units, inline or through the fabric.
 
-
-def run_units(tasks: Sequence[UnitTask], config: Optional[RunnerConfig] = None) -> SuiteRunResult:
-    """Run a list of benchmark units under a :class:`RunnerConfig`."""
+    ``config`` stamps its per-unit switches onto every task.  With a
+    ``fabric`` config the stamped tasks run isolated through
+    :func:`repro.fabric.run_fabric` — supervised workers, the per-unit
+    wall-clock budget, and checkpoint/resume when it names a queue
+    directory; otherwise they run inline under ``config``'s retry and
+    fail-fast policy.  A :class:`~repro.fabric.FabricConfig` passed as
+    ``config`` is shorthand for ``fabric=config`` with default switches.
+    """
+    if config is not None and not isinstance(config, RunnerConfig):
+        config, fabric = None, config
     config = config or RunnerConfig()
     if not tasks:
         return SuiteRunResult([], [], [], [])
     order = [t.benchmark for t in tasks]
-    kinds = {t.benchmark: t.kind for t in tasks}
-    payloads: Dict[str, dict] = {}
-    failures: Dict[str, BenchmarkFailure] = {}
-    skipped: List[str] = []
-    executed: List[str] = []
-    journal: Optional[CheckpointJournal] = None
-    store = ArtifactStore(config.store) if config.store is not None else None
-    store_injector = FaultInjector(config.faults)
-
-    def artifact_key(name: str) -> str:
-        return f"{kinds[name]}/{name}"
-
-    def artifact_intact(name: str) -> bool:
-        """Whether a checkpointed benchmark's stored artifact verifies.
-
-        A missing or corrupt artifact disqualifies the checkpoint entry:
-        the corrupt bytes are quarantined and the benchmark re-runs.
-        """
-        if store is None:
-            return True
-        key = artifact_key(name)
-        if key not in store:
-            return False
-        try:
-            store.verify(key)
-            return True
-        except ArtifactCorruptError:
-            store.quarantine(key)
-            return False
-
-    if config.checkpoint is not None:
-        fingerprint, summary = _fingerprint(tasks)
-        if config.resume:
-            journal = CheckpointJournal.resume(config.checkpoint, fingerprint, summary)
-            for name, payload in journal.completed.items():
-                if name in order and artifact_intact(name):
-                    payloads[name] = payload
-                    skipped.append(name)
-        else:
-            journal = CheckpointJournal.create(config.checkpoint, fingerprint, summary)
-
-    def on_success(name: str, payload: dict) -> None:
-        executed.append(name)
-        if store is not None:
-            key = artifact_key(name)
-            path = store.put(key, payload)
-            store_injector.corrupt_artifact(name, 1, path)
-            try:
-                store.verify(key)
-            except ArtifactCorruptError as exc:
-                annotate_stage(exc, "store")
-                store.quarantine(key)
-                on_failure(
-                    BenchmarkFailure(
-                        benchmark=name,
-                        stage="store",
-                        kind=classify(exc),
-                        message=f"{type(exc).__name__}: {exc}",
-                        attempts=1,
-                        retryable=False,
-                        error=exc,
-                    )
-                )
-                return
-        payloads[name] = payload
-        if journal is not None:
-            journal.record_result(name, payload)
-
-    def on_failure(failure: BenchmarkFailure) -> None:
-        failures[failure.benchmark] = failure
-        if journal is not None:
-            journal.record_failure(failure.benchmark, failure.to_dict())
-
     pending = [
         replace(
             task,
@@ -834,23 +609,39 @@ def run_units(tasks: Sequence[UnitTask], config: Optional[RunnerConfig] = None) 
             ),
         )
         for task in tasks
-        if task.benchmark not in payloads
     ]
-    try:
-        if config.isolate or config.timeout is not None:
-            _run_isolated(pending, config, on_success, on_failure)
-        else:
-            _run_inline(pending, config, on_success, on_failure)
-    finally:
-        if journal is not None:
-            journal.close()
+    payloads: Dict[str, dict] = {}
+    failures: Dict[str, BenchmarkFailure] = {}
+    if fabric is None:
+        _run_inline(
+            pending, config, payloads.__setitem__,
+            lambda failure: failures.__setitem__(failure.benchmark, failure),
+        )
+        executed, skipped, checkpoint = list(payloads), [], None
+    else:
+        from ..fabric.workers import run_fabric
 
+        run = run_fabric(pending, fabric)
+        bridged = run.to_suite_result()
+        failures = {failure.benchmark: failure for failure in bridged.failures}
+        for unit_id in run.scheduler.order:
+            payload = run.payload(unit_id)
+            if payload is not None:
+                payloads[run.scheduler.record(unit_id).benchmark] = payload
+        executed = [n for n in order if n in bridged.executed]
+        skipped, checkpoint = bridged.skipped, bridged.checkpoint
+
+    if config.store is not None:
+        _keep_in_store(
+            ArtifactStore(config.store), FaultInjector(config.faults),
+            {t.benchmark: t.kind for t in tasks}, payloads, failures,
+        )
     return SuiteRunResult(
         results=[payload_to_result(payloads[n]) for n in order if n in payloads],
         failures=[failures[n] for n in order if n in failures],
         skipped=[n for n in order if n in skipped],
         executed=executed,
-        checkpoint=Path(config.checkpoint) if config.checkpoint is not None else None,
+        checkpoint=checkpoint,
     )
 
 
@@ -861,11 +652,13 @@ def run_suite_resilient(
     window: int = 15,
     archs: Sequence[str] = ALL_ARCHS,
     min_weight: int = 2,
-    config: Optional[RunnerConfig] = None,
+    config: Union[RunnerConfig, "FabricConfig", None] = None,
     algorithms: Optional[Sequence[str]] = None,
     profile_source: str = "measured",
+    fabric: Optional["FabricConfig"] = None,
 ) -> SuiteRunResult:
-    """The Tables 3/4 suite experiment under the resilient runner."""
+    """The Tables 3/4 suite experiment under the resilient runner
+    (``config`` and ``fabric`` as for :func:`run_units`)."""
     selected = list(names) if names is not None else list(SUITE)
     tasks = [
         UnitTask(
@@ -881,7 +674,7 @@ def run_suite_resilient(
         )
         for name in selected
     ]
-    return run_units(tasks, config)
+    return run_units(tasks, config, fabric)
 
 
 def run_figure4_resilient(
@@ -890,9 +683,11 @@ def run_figure4_resilient(
     seed: int = 0,
     window: int = 15,
     alpha_config: Optional[AlphaConfig] = None,
-    config: Optional[RunnerConfig] = None,
+    config: Union[RunnerConfig, "FabricConfig", None] = None,
+    fabric: Optional["FabricConfig"] = None,
 ) -> SuiteRunResult:
-    """The Figure 4 timing experiment under the resilient runner."""
+    """The Figure 4 timing experiment under the resilient runner
+    (``config`` and ``fabric`` as for :func:`run_units`)."""
     selected = list(names) if names is not None else list(FIGURE4_PROGRAMS)
     tasks = [
         UnitTask(
@@ -905,7 +700,7 @@ def run_figure4_resilient(
         )
         for name in selected
     ]
-    return run_units(tasks, config)
+    return run_units(tasks, config, fabric)
 
 
 # ----------------------------------------------------------------------

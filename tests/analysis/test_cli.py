@@ -119,6 +119,24 @@ class TestResilienceFlags:
                      "--checkpoint", ckpt, "--resume"]) == 1
         assert "different run configuration" in capsys.readouterr().err
 
+    def test_meld_mismatched_resume_is_runtime_error(self, tmp_path, capsys):
+        # --meld changes every unit's payload, so a queue written with it
+        # must not serve a run without it.
+        ckpt = str(tmp_path / "q")
+        assert main(["table3", "--benchmarks", "eqntott", "--scale", "0.02",
+                     "--meld", "--checkpoint", ckpt]) == 0
+        capsys.readouterr()
+        assert main(["table3", "--benchmarks", "eqntott", "--scale", "0.02",
+                     "--checkpoint", ckpt, "--resume"]) == 1
+        assert "different run configuration" in capsys.readouterr().err
+
+    def test_checkpoint_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        journal = tmp_path / "old.jsonl"
+        journal.write_text('{"kind": "header"}\n')
+        assert main(["table3", "--benchmarks", "compress", "--scale", "0.02",
+                     "--checkpoint", str(journal), "--resume"]) == 2
+        assert "queue directory" in capsys.readouterr().err
+
 
 class TestDot:
     def test_dot_output(self, capsys):

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,9 @@ from repro.analysis.experiment import BenchmarkExperiment, run_suite_experiment
 from repro.fabric import (
     DONE,
     FabricConfig,
+    FabricRunResult,
+    FabricSupervisor,
+    Scheduler,
     build_report,
     diff_reports,
     load_queue_dir,
@@ -105,6 +109,22 @@ class TestChaos:
         bridged = result.to_suite_result()
         assert any(f.kind == "poison" for f in bridged.failures)
 
+    def test_drained_units_surface_in_the_suite_result_bridge(self):
+        # A drain leaves units unsettled; the table commands must report
+        # them as lost (exit 3), not print a silently shorter table.
+        supervisor = FabricSupervisor(Scheduler(tasks_for("eqntott")), config_with())
+        supervisor.request_drain("SIGTERM")
+        supervisor.run()
+        result = FabricRunResult(
+            scheduler=supervisor.scheduler, results=[], failures=[],
+            quarantined=[], resumed=[], executed=[], drained=True,
+            drain_reason="SIGTERM",
+        )
+        bridged = result.to_suite_result()
+        assert bridged.partial
+        [failure] = bridged.failures
+        assert failure.kind == "drained" and "SIGTERM" in failure.message
+
     def test_corrupt_queue_record_is_rewritten_by_next_transition(self, tmp_path):
         plan = FaultPlan(specs=(FaultSpec("eqntott", "fabric", "corrupt-queue"),))
         result = run_fabric(tasks_for("eqntott"),
@@ -115,6 +135,101 @@ class TestChaos:
         # The completion transition rewrote the corrupted record atomically.
         assert corrupt == []
         assert records[result.scheduler.order[0]].state == DONE
+
+
+class TestWallClockBudget:
+    def test_heartbeating_hang_is_killed_and_failed_as_timeout(self):
+        # The hung unit's worker keeps heartbeating, so only the budget
+        # can stop it; the unit on the other worker must still finish.
+        # The hang ends by itself after 30 s, bounding a broken budget.
+        plan = FaultPlan(specs=(FaultSpec("eqntott", "simulate", "hang", times=99,
+                                          hang_seconds=30.0),))
+        tasks = [replace(t, faults=plan) for t in tasks_for("eqntott", "compress")]
+        started = time.monotonic()
+        result = run_fabric(tasks, config_with(timeout=2.0))
+        assert time.monotonic() - started < 20.0
+        assert [e.name for e in result.results] == ["compress"]
+        assert not result.quarantined
+        [failure] = result.failures
+        assert failure.benchmark == "eqntott" and failure.kind == "timeout"
+        assert "exceeded the 2s wall-clock budget" in failure.message
+        record = next(result.scheduler.record(u) for u in result.scheduler.order
+                      if result.scheduler.record(u).benchmark == "eqntott")
+        assert record.attempts == 1 and record.crash_workers == []
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(timeout=0.0),
+        dict(timeout=5.0, listen="127.0.0.1:0"),
+    ])
+    def test_bad_budget_is_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            FabricConfig(**kwargs)
+
+
+def _children(pid: int) -> list:
+    """Pids whose parent is ``pid`` (from /proc)."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` still runs (a zombie has finished)."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_workers_exit_when_their_supervisor_is_sigkilled(tmp_path):
+    # One busy worker (a unit hanging in simulate) and one idle worker.
+    queue = tmp_path / "queue"
+    code = (
+        "from repro.fabric import FabricConfig, run_fabric\n"
+        "from repro.runner.faults import FaultPlan, FaultSpec\n"
+        "from repro.runner.runner import UnitTask\n"
+        "plan = FaultPlan((FaultSpec('eqntott', 'simulate', 'hang', times=99),))\n"
+        "task = UnitTask(kind='experiment', benchmark='eqntott', scale=0.02,\n"
+        "                archs=('btfnt',), faults=plan)\n"
+        f"run_fabric([task], FabricConfig(workers=2, heartbeat=0.2, queue_dir={str(queue)!r}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers: list = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline and proc.poll() is None:
+            try:
+                _h, records, _c = load_queue_dir(queue)
+            except Exception:
+                records = {}
+            workers = _children(proc.pid)
+            if len(workers) == 2 and any(r.state == "leased" for r in records.values()):
+                break
+            time.sleep(0.05)
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+    assert len(workers) == 2
+    deadline = time.monotonic() + 3.0
+    while time.monotonic() < deadline and any(_alive(pid) for pid in workers):
+        time.sleep(0.05)
+    try:
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestReport:

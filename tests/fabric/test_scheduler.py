@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.fabric import (
 from repro.fabric.scheduler import QUEUE_MANIFEST, UNITS_DIR, UnitRecord
 from repro.runner.retry import RetryPolicy
 from repro.runner.runner import UnitTask
+from repro.sim.alpha import AlphaConfig
 
 
 def tasks_for(*benchmarks: str) -> list:
@@ -47,6 +49,12 @@ class TestUnitIdentity:
         assert unit_id_for(a) != unit_id_for(
             UnitTask(kind="experiment", benchmark="eqntott", scale=0.1,
                      seed=0, window=15, archs=("btfnt",)))
+        # Every knob that changes the payload changes the unit id.
+        for knob in (dict(meld=True), dict(profile_source="static"),
+                     dict(alpha_config=AlphaConfig(mispredict_cycles=7.0))):
+            assert unit_id_for(a) != unit_id_for(replace(a, **knob)), knob
+        assert unit_id_for(replace(a, alpha_config=AlphaConfig())) \
+            != unit_id_for(replace(a, alpha_config=AlphaConfig(ras_depth=8)))
 
     def test_duplicate_tasks_collapse_to_one_unit(self):
         records = expand_units(tasks_for("eqntott", "eqntott", "compress"))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.fabric import FabricConfig
 from repro.runner import (
     ArtifactStore,
     FaultPlan,
@@ -91,27 +92,30 @@ class TestStoreInRunner:
         assert "experiment/compress" not in store
         assert list(store.quarantine_dir.iterdir())
 
+    def _checkpointed(self, names, store_dir, ckpt, resume=False):
+        return run_suite_resilient(
+            names, scale=SCALE, window=WINDOW, archs=ARCHS,
+            config=RunnerConfig(store=store_dir),
+            fabric=FabricConfig(workers=1, queue_dir=ckpt, resume=resume),
+        )
+
     def test_resume_reruns_only_quarantined_benchmark(self, tmp_path):
         store_dir = tmp_path / "art"
-        ckpt = tmp_path / "ckpt.jsonl"
+        ckpt = tmp_path / "ckpt"
         names = ["compress", "eqntott"]
-        first = run_suite_resilient(
-            names, scale=SCALE, window=WINDOW, archs=ARCHS,
-            config=RunnerConfig(store=store_dir, checkpoint=ckpt),
-        )
+        first = self._checkpointed(names, store_dir, ckpt)
         assert not first.partial and len(first.executed) == 2
 
-        # Hand-corrupt one artifact and repair: it is quarantined.
-        store = ArtifactStore(store_dir)
-        path = store.path_for("experiment/eqntott")
+        # Hand-corrupt eqntott's checkpointed payload and repair: it is
+        # quarantined, so the queue no longer holds a result for it.
+        results = ArtifactStore(ckpt / "results")
+        key = next(k for k in results.keys() if "/eqntott/" in k)
+        path = results.path_for(key)
         path.write_bytes(path.read_bytes()[:25] + b"GARBAGE")
-        report = store.repair()
-        assert report.quarantined == ["experiment/eqntott"]
+        report = results.repair()
+        assert report.quarantined == [key]
 
-        second = run_suite_resilient(
-            names, scale=SCALE, window=WINDOW, archs=ARCHS,
-            config=RunnerConfig(store=store_dir, checkpoint=ckpt, resume=True),
-        )
+        second = self._checkpointed(names, store_dir, ckpt, resume=True)
         assert not second.partial
         assert second.skipped == ["compress"]
         assert second.executed == ["eqntott"]
@@ -119,22 +123,24 @@ class TestStoreInRunner:
         assert ArtifactStore(store_dir).verify_all()["experiment/eqntott"] is None
 
     def test_resume_detects_corruption_without_explicit_repair(self, tmp_path):
-        """--resume itself verifies artifacts; repair is not a prerequisite."""
+        """--resume itself verifies payloads; repair is not a prerequisite."""
         store_dir = tmp_path / "art"
-        ckpt = tmp_path / "ckpt.jsonl"
-        run_suite_resilient(
-            ["compress"], scale=SCALE, window=WINDOW, archs=ARCHS,
-            config=RunnerConfig(store=store_dir, checkpoint=ckpt),
-        )
+        ckpt = tmp_path / "ckpt"
+        self._checkpointed(["compress", "eqntott"], store_dir, ckpt)
+        # A damaged --store copy is rewritten from the queue's verified
+        # payload: nothing re-runs.
         store = ArtifactStore(store_dir)
         path = store.path_for("experiment/compress")
         path.write_text(path.read_text().replace(":", ";", 1))
-        second = run_suite_resilient(
-            ["compress"], scale=SCALE, window=WINDOW, archs=ARCHS,
-            config=RunnerConfig(store=store_dir, checkpoint=ckpt, resume=True),
-        )
-        assert second.skipped == []
-        assert second.executed == ["compress"]
+        # A damaged queue payload re-runs exactly its benchmark.
+        results = ArtifactStore(ckpt / "results")
+        queued = results.path_for(next(k for k in results.keys() if "/eqntott/" in k))
+        queued.write_text(queued.read_text().replace(":", ";", 1))
+        second = self._checkpointed(["compress", "eqntott"], store_dir, ckpt, resume=True)
+        assert not second.partial
+        assert second.skipped == ["compress"]
+        assert second.executed == ["eqntott"]
+        assert all(problem is None for problem in store.verify_all().values())
 
 
 class TestCLI:

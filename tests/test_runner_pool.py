@@ -1,37 +1,12 @@
-"""Pool teardown idempotency and the cumulative retry-backoff budget."""
+"""Retry backoff: full jitter and the cumulative retry-backoff budget."""
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.runner.errors import TransientError
 from repro.runner.retry import RetryPolicy, call_with_retry, retry_rng
-from repro.runner.runner import RunnerConfig, UnitTask, _kill_pool, _run_inline
-
-
-class TestKillPoolIdempotency:
-    def test_kill_twice_is_safe(self):
-        pool = ProcessPoolExecutor(max_workers=1)
-        _kill_pool(pool)
-        _kill_pool(pool)  # second call must tolerate the dead pool
-
-    def test_kill_after_shutdown_is_safe(self):
-        # shutdown() may null out internal process maps; _kill_pool must
-        # not assume they are still dictionaries.
-        pool = ProcessPoolExecutor(max_workers=1)
-        pool.shutdown(wait=True, cancel_futures=True)
-        pool._processes = None
-        _kill_pool(pool)
-
-    def test_kill_with_work_in_flight(self):
-        pool = ProcessPoolExecutor(max_workers=1)
-        pool.submit(sum, range(10))
-        _kill_pool(pool)
-        _kill_pool(pool)
-        with pytest.raises(RuntimeError):
-            pool.submit(sum, range(10))  # killed pools accept no new work
+from repro.runner.runner import RunnerConfig, UnitTask, _run_inline
 
 
 class TestFullJitter:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import run_suite_experiment
+from repro.fabric import FabricConfig
 from repro.runner import (
     FaultPlan,
     FaultSpec,
@@ -65,28 +66,29 @@ class TestPartialRuns:
 
 
 class TestIsolation:
-    """Subprocess workers confine crashes and hangs to one benchmark."""
+    """Fabric workers confine crashes and hangs to one benchmark."""
 
     def test_hard_crash_is_confined_to_its_benchmark(self):
         result = run_suite_resilient(
             ["alvinn", "compress"], scale=0.02, archs=ARCHS,
-            config=RunnerConfig(
-                isolate=True, retry=FAST_RETRY,
-                faults=crash_plan("alvinn", kind="hard-crash"),
-            ),
+            config=RunnerConfig(faults=crash_plan("alvinn", kind="hard-crash")),
+            fabric=FabricConfig(workers=1, retry=FAST_RETRY),
         )
         assert result.partial
         assert result.failures[0].benchmark == "alvinn"
-        assert result.failures[0].kind == "crash"
+        # Every attempt killed its worker: the fabric quarantines the
+        # unit as poison once it has crashed two distinct workers.
+        assert result.failures[0].stage == "fabric"
+        assert result.failures[0].kind == "poison"
         assert [e.name for e in result.results] == ["compress"]
 
     def test_hard_crash_recovers_when_fault_heals(self):
         result = run_suite_resilient(
             ["compress"], scale=0.02, archs=ARCHS,
             config=RunnerConfig(
-                isolate=True, retry=FAST_RETRY,
                 faults=crash_plan("compress", kind="hard-crash", times=1),
             ),
+            fabric=FabricConfig(workers=1, retry=FAST_RETRY),
         )
         assert not result.partial
         assert [e.name for e in result.results] == ["compress"]
@@ -94,10 +96,8 @@ class TestIsolation:
     def test_timeout_kills_hung_benchmark(self):
         result = run_suite_resilient(
             ["alvinn", "compress"], scale=0.02, archs=ARCHS,
-            config=RunnerConfig(
-                timeout=5.0, retry=FAST_RETRY,
-                faults=crash_plan("alvinn", kind="hang", times=99),
-            ),
+            config=RunnerConfig(faults=crash_plan("alvinn", kind="hang", times=99)),
+            fabric=FabricConfig(timeout=5.0, retry=FAST_RETRY),
         )
         assert result.partial
         failure = result.failures[0]
@@ -111,9 +111,27 @@ class TestIsolation:
             ["compress"], scale=0.02, archs=ARCHS, config=RunnerConfig(),
         )
         isolated = run_suite_resilient(
-            ["compress"], scale=0.02, archs=ARCHS, config=RunnerConfig(isolate=True),
+            ["compress"], scale=0.02, archs=ARCHS, config=RunnerConfig(),
+            fabric=FabricConfig(workers=1),
         )
         assert inline.results[0].outcomes == isolated.results[0].outcomes
+
+    def test_inject_and_retries_reach_fabric_units(self):
+        # A transient fault healing on attempt 2 needs a second attempt:
+        # granted by --retries 2, denied by --retries 1, and a plan
+        # stamped only on the tasks must still fire in the workers.
+        plan = crash_plan("compress", kind="transient", times=1)
+        for attempts, partial in ((2, False), (1, True)):
+            result = run_suite_resilient(
+                ["compress"], scale=0.02, archs=ARCHS,
+                config=RunnerConfig(faults=plan),
+                fabric=FabricConfig(workers=1, retry=RetryPolicy(
+                    max_attempts=attempts, base_delay=0.0, max_delay=0.0,
+                    jitter=0.0)),
+            )
+            assert result.partial is partial
+            if partial:
+                assert result.failures[0].kind == "transient"
 
 
 class TestLegacyMode:
