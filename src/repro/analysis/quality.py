@@ -131,8 +131,8 @@ def compare_layout_quality(
 ) -> str:
     """Render several layouts' quality measures side by side."""
     metrics = [
-        ("%% fall-through conds", lambda q: f"{q.percent_fallthrough:.1f}"),
-        ("%% taken that are backward", lambda q: f"{q.percent_taken_backward:.1f}"),
+        ("% fall-through conds", lambda q: f"{q.percent_fallthrough:.1f}"),
+        ("% taken that are backward", lambda q: f"{q.percent_taken_backward:.1f}"),
         ("dynamic uncond branches", lambda q: f"{q.uncond_executed:,}"),
         ("  via inserted jumps", lambda q: f"{q.inserted_jump_executed:,}"),
         ("  saved by deletions", lambda q: f"{q.removed_branch_executed:,}"),

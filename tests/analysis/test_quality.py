@@ -85,4 +85,5 @@ class TestRendering:
             "try15": layout_quality(aligned, profile),
         })
         assert "orig" in text and "try15" in text
-        assert "fall-through conds" in text
+        assert "% fall-through conds" in text
+        assert "%%" not in text
