@@ -33,7 +33,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..cfg import Program
 from ..core.registry import ALIGNER_KEYS, TRY_MODEL_ARCHS, plan_algorithms
 from ..isa.encoder import LinkedProgram, link, link_identity
-from ..profiling import EdgeProfile, profile_program
+from ..isa.layout import ProgramLayout
+from ..profiling import EdgeProfile
 from ..sim.decisions import DecisionTrace, load_or_capture
 from ..sim.metrics import ALL_ARCHS, SimulationReport, simulate
 from ..sim.predictors import (
@@ -81,6 +82,19 @@ def make_arch_sims(
         else:
             raise ValueError(f"unknown architecture {name!r}")
     return sims
+
+
+def checked_link(layout: ProgramLayout, validate: bool) -> LinkedProgram:
+    """Link one aligned layout; with ``validate``, check the layout
+    before and the address map after (see :mod:`repro.runner.validate`)."""
+    if not validate:
+        return link(layout)
+    from ..runner.validate import validate_layout, validate_linked
+
+    validate_layout(layout)
+    linked = link(layout)
+    validate_linked(linked)
+    return linked
 
 
 @dataclass
@@ -140,12 +154,12 @@ def run_benchmark_experiment(
     archs: Sequence[str] = ALL_ARCHS,
     profile: Optional[EdgeProfile] = None,
     validate: bool = False,
-    engine: str = "replay",
     trace: Optional[DecisionTrace] = None,
     trace_store: Optional[object] = None,
     replay_check: Optional[bool] = None,
     algorithms: Optional[Sequence[str]] = None,
     profile_source: str = "measured",
+    layouts: Optional[Dict[str, ProgramLayout]] = None,
 ) -> BenchmarkExperiment:
     """Run the full Tables 3/4 methodology for one benchmark.
 
@@ -163,14 +177,12 @@ def run_benchmark_experiment(
     plans its variants for ``archs``; architectures it cannot serve land
     in :attr:`BenchmarkExperiment.skips` with the registry's reason.
 
-    With the default ``engine="replay"`` the workload's decisions are
-    captured **once** (or loaded from ``trace_store``/``trace``) and
-    replayed through every layout — N aligned binaries cost one
-    execution.  The edge profile then comes straight from the trace (bit
-    for bit what a profiling run records).  ``engine="execute"`` keeps
-    the legacy one-execution-per-layout path for one release;
-    ``replay_check`` (or ``REPRO_REPLAY_CHECK=1``) runs both and asserts
-    identical reports.
+    The workload's decisions are captured **once** (or loaded from
+    ``trace_store``/``trace``) and replayed through every layout — N
+    aligned binaries cost one execution.  The edge profile then comes
+    straight from the trace (bit for bit what a profiling run records).
+    ``replay_check`` (or ``REPRO_REPLAY_CHECK=1``) also executes every
+    layout and asserts the replayed report is identical.
 
     ``profile_source`` selects what the *aligners* see: ``"measured"``
     (default) hands them the traced edge profile; ``"static"`` hands
@@ -180,6 +192,10 @@ def run_benchmark_experiment(
     denominator — is unchanged, so static-profile results are evaluated
     against the *real* execution, which is exactly the cross-validation
     the profile-free claim needs.
+
+    ``layouts``, when given, receives every measured aligned layout
+    keyed by its variant label ("greedy", "try15-pht", "exttsp", ...) —
+    what the runner hands its oracle and prover.
     """
     if profile_source not in ("measured", "static"):
         raise ValueError(
@@ -191,31 +207,17 @@ def run_benchmark_experiment(
     else:
         category = SUITE[name].category if name in SUITE else "custom"
     archs = tuple(archs)
-    if engine == "replay":
-        if trace is None:
-            trace, _ = load_or_capture(
-                trace_store, program, workload=name, scale=scale, seed=seed
-            )
-        if profile is None:
-            profile = trace.edge_profile(program)
-    elif profile is None:
-        profile = profile_program(program, seed=seed)
+    if trace is None:
+        trace, _ = load_or_capture(
+            trace_store, program, workload=name, scale=scale, seed=seed
+        )
+    if profile is None:
+        profile = trace.edge_profile(program)
 
     if validate:
         from ..runner.validate import validate_profile
 
         validate_profile(program, profile)
-
-    def checked_link(layout) -> LinkedProgram:
-        """Link one aligned layout, validating at the stage boundaries."""
-        if not validate:
-            return link(layout)
-        from ..runner.validate import validate_layout, validate_linked
-
-        validate_layout(layout)
-        linked = link(layout)
-        validate_linked(linked)
-        return linked
 
     if profile_source == "static":
         from ..profiling import StaticProfile
@@ -235,7 +237,6 @@ def run_benchmark_experiment(
         archs=make_arch_sims(archs, orig_linked, profile),
         seed=seed,
         trace=trace,
-        engine=engine,
         replay_check=replay_check,
     )
     base = orig_report.instructions
@@ -251,14 +252,15 @@ def run_benchmark_experiment(
             continue
         for variant in plan.variants:
             layout = variant.aligner.align(program, align_profile)
-            linked = checked_link(layout)
+            if layouts is not None:
+                layouts[variant.label] = layout
+            linked = checked_link(layout, validate)
             report = simulate(
                 linked,
                 profile,
                 archs=make_arch_sims(variant.archs, linked, profile),
                 seed=seed,
                 trace=trace,
-                engine=engine,
                 replay_check=replay_check,
             )
             bucket.update(_report_outcomes(report, variant.archs, base))

@@ -10,14 +10,16 @@ highest-executed-first chain ordering, and Try15 using the BTB cost model
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..cfg import Program
 from ..core import GreedyAligner, TryNAligner, make_model
-from ..isa.encoder import LinkedProgram, link, link_identity
+from ..isa.encoder import link_identity
+from ..isa.layout import ProgramLayout
 from ..profiling import EdgeProfile, profile_program
 from ..sim.alpha import AlphaConfig, alpha_execution_cycles
 from ..workloads import FIGURE4_PROGRAMS, generate_benchmark
+from .experiment import checked_link
 
 
 @dataclass
@@ -52,6 +54,7 @@ def run_figure4_program(
     program: Optional[Program] = None,
     profile: Optional[EdgeProfile] = None,
     validate: bool = False,
+    layouts: Optional[Dict[str, ProgramLayout]] = None,
 ) -> Figure4Row:
     """Model Figure 4's hardware measurement for one program.
 
@@ -59,30 +62,29 @@ def run_figure4_program(
     ``program``/``profile`` let a caller that already traced the
     workload (and validated the profile) hand both in, and ``validate``
     runs the layout/address invariant checks after each alignment.
+    ``layouts``, when given, receives the two aligned layouts, labelled
+    ``greedy`` and ``try{window}-btb`` as in the experiment.
     """
     if program is None:
         program = generate_benchmark(name, scale)
     if profile is None:
         profile = profile_program(program, seed=seed)
 
-    def checked_link(layout) -> LinkedProgram:
-        if not validate:
-            return link(layout)
-        from ..runner.validate import validate_layout, validate_linked
-
-        validate_layout(layout)
-        linked = link(layout)
-        validate_linked(linked)
-        return linked
-
     original = alpha_execution_cycles(link_identity(program), seed=seed, config=config)
 
     greedy_layout = GreedyAligner(chain_order="weight").align(program, profile)
-    greedy = alpha_execution_cycles(checked_link(greedy_layout), seed=seed, config=config)
+    greedy = alpha_execution_cycles(
+        checked_link(greedy_layout, validate), seed=seed, config=config
+    )
 
     try_aligner = TryNAligner(make_model("btb"), window=window)
     try_layout = try_aligner.align(program, profile)
-    try15 = alpha_execution_cycles(checked_link(try_layout), seed=seed, config=config)
+    try15 = alpha_execution_cycles(
+        checked_link(try_layout, validate), seed=seed, config=config
+    )
+    if layouts is not None:
+        layouts["greedy"] = greedy_layout
+        layouts[f"try{window}-btb"] = try_layout
 
     return Figure4Row(
         name=name,

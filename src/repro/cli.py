@@ -39,14 +39,13 @@ Gives the library's main workflows a shell entry point:
   traces are decoded and stale/corrupt entries flagged), inspect or
   repair a fabric queue (``--fabric DIR [--repair]``), or lint every
   registered workload (``--lint``);
-* ``bench`` — time the trace-once/replay-many engine against the legacy
-  execute-per-layout engine and write ``BENCH_PR4.json``;
 * ``dot`` — emit a procedure's control-flow graph in Graphviz format.
 
-Suite commands run on the replay engine by default; ``--engine
-execute`` restores the legacy path, ``--replay-check`` differentially
+Suite commands capture each benchmark's decision trace once and replay
+it through every aligned layout; ``--replay-check`` differentially
 checks every replay against a fresh execution, and ``--trace-cache
-DIR`` persists captured decision traces across runs.
+DIR`` persists captured decision traces across runs.  ``figure4`` has
+neither flag: its Alpha timing model executes each layout.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 partial
 suite results (some benchmarks failed; see the failure table).
@@ -164,6 +163,13 @@ def _runner_config(
         except ValueError as exc:
             raise UsageError(str(exc))
         faults = FaultPlan(specs=specs, seed=args.seed)
+        # Only commands whose units capture a decision trace register
+        # --trace-cache; figure4's timing model executes every layout.
+        if not hasattr(args, "trace_cache") and any(s.stage == "trace" for s in specs):
+            raise UsageError(
+                f"{args.command} units have no trace stage; trace faults "
+                f"cannot fire"
+            )
         if any(s.kind == "corrupt-artifact" for s in specs) and not args.store:
             raise UsageError(
                 "corrupt-artifact faults need an artifact store; add --store DIR"
@@ -222,7 +228,6 @@ def _runner_config(
         lint=args.lint,
         meld=getattr(args, "meld", False),
         store=args.store,
-        engine=getattr(args, "engine", "replay"),
         replay_check=getattr(args, "replay_check", False),
         trace_cache=getattr(args, "trace_cache", None),
     )
@@ -1546,45 +1551,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Time the replay engine against the legacy engine (BENCH_PR4.json).
-
-    ``--tournament`` times the full-registry tournament instead — shared
-    trace vs per-algorithm re-execution — and writes ``BENCH_PR9.json``.
-    """
-    from .analysis.bench import (
-        BENCH_BENCHMARKS,
-        QUICK_BENCHMARKS,
-        bench_pipeline,
-        bench_tournament,
-        render_bench,
-        write_bench_json,
-    )
-
-    names = _benchmark_list(args.benchmarks)
-    if names is None:
-        names = list(QUICK_BENCHMARKS if args.quick else BENCH_BENCHMARKS)
-    repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
-    if repeats < 1:
-        raise UsageError("--repeats must be >= 1")
-    measure = bench_tournament if args.tournament else bench_pipeline
-    report = measure(
-        benchmarks=names,
-        scale=args.scale,
-        seed=args.seed,
-        window=args.window,
-        repeats=repeats,
-        trace_cache=args.trace_cache,
-    )
-    json_output = args.json_output
-    if json_output is None:
-        json_output = "BENCH_PR9.json" if args.tournament else "BENCH_PR4.json"
-    path = write_bench_json(report, json_output)
-    print(render_bench(report))
-    print(f"wrote {path}")
-    return EXIT_OK if report["replay_not_slower"] else EXIT_RUNTIME
-
-
 def cmd_dot(args: argparse.Namespace) -> int:
     program = _workload(args)
     if args.procedure not in program:
@@ -1826,7 +1792,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the summary to a file")
     p.set_defaults(func=cmd_worker)
 
-    def runner_flags(p):
+    def runner_flags(p, trace):
         g = p.add_argument_group("resilient runner")
         g.add_argument("--checkpoint", metavar="DIR",
                        help="run through the fabric with a durable queue "
@@ -1872,12 +1838,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist results to a crash-safe checksummed "
                             "artifact store (corrupt artifacts are "
                             "quarantined and re-run on --resume)")
-        g.add_argument("--engine", choices=("replay", "execute"),
-                       default="replay",
-                       help="simulation engine: 'replay' captures each "
-                            "workload's decision trace once and replays it "
-                            "through every layout (default); 'execute' is "
-                            "the legacy one-execution-per-layout path")
+        if not trace:
+            return  # no trace stage: the timing model executes every layout
         g.add_argument("--replay-check", action="store_true",
                        help="differentially check every replay against a "
                             "fresh execution (slow; reports must be "
@@ -1900,7 +1862,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit machine-readable CSV instead of a table")
         common(p, window=window)
         if name != "table2":
-            runner_flags(p)
+            runner_flags(p, trace=name != "figure4")
         p.set_defaults(func=func)
 
     p = sub.add_parser(
@@ -1990,30 +1952,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit non-zero when any claim fails")
     common(p, window=True)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "bench",
-        help="time the replay engine vs the legacy execute engine and "
-             "write BENCH_PR4.json (non-zero exit if replay is slower "
-             "or results diverge)",
-    )
-    p.add_argument("--benchmarks", help="comma-separated subset")
-    p.add_argument("--quick", action="store_true",
-                   help="one benchmark, one repeat (CI smoke mode)")
-    p.add_argument("--tournament", action="store_true",
-                   help="time the full-registry tournament (shared trace vs "
-                        "per-algorithm re-execution) instead of the 3-layout "
-                        "pipeline")
-    p.add_argument("--repeats", type=int, default=None, metavar="N",
-                   help="timing repeats, best-of (default 3; 1 with --quick)")
-    p.add_argument("--trace-cache", metavar="DIR",
-                   help="persistent trace cache (default: a temp dir "
-                        "warmed in-run)")
-    p.add_argument("--json-output", default=None, metavar="PATH",
-                   help="where to write the JSON report (default "
-                        "BENCH_PR4.json; BENCH_PR9.json with --tournament)")
-    common(p, window=True)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("dot", help="emit a procedure's CFG as Graphviz")
     p.add_argument("benchmark")

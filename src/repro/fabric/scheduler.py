@@ -91,7 +91,6 @@ def unit_fingerprint(task: UnitTask) -> str:
         "window": task.window,
         "archs": list(task.archs),
         "min_weight": task.min_weight,
-        "engine": task.engine,
         "algorithms": list(task.algorithms) if task.algorithms is not None else None,
         "meld": task.meld,
         "profile_source": task.profile_source,

@@ -46,7 +46,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.experiment import (
-    TRY_MODEL_ARCHS,
     ArchOutcome,
     BenchmarkExperiment,
     run_benchmark_experiment,
@@ -112,10 +111,6 @@ class RunnerConfig:
     meld: bool = False
     #: Directory of the crash-safe artifact store (None disables it).
     store: Optional[Union[str, Path]] = None
-    #: Simulation engine: ``"replay"`` captures each workload's decision
-    #: trace once and replays it through every aligned layout;
-    #: ``"execute"`` keeps the legacy one-execution-per-layout path.
-    engine: str = "replay"
     #: Differentially check every replay against a fresh execution
     #: (slow; equivalent to ``REPRO_REPLAY_CHECK=1``).
     replay_check: bool = False
@@ -180,7 +175,6 @@ class UnitTask:
     prove: bool = False
     lint: bool = False
     meld: bool = False
-    engine: str = "replay"
     replay_check: bool = False
     trace_cache: Optional[Union[str, Path]] = None
     #: Registered aligner names to compete (None = the whole registry).
@@ -226,7 +220,7 @@ def execute_unit(task: UnitTask) -> dict:
                 meld_ctx = (original, program, tuple(meld_report.applied))
 
     trace = None
-    if task.kind == "experiment" and task.engine == "replay":
+    if task.kind == "experiment":
         with _stage("trace"):
             trace_store = (
                 ArtifactStore(task.trace_cache)
@@ -281,6 +275,8 @@ def execute_unit(task: UnitTask) -> dict:
     with _stage("align"):
         injector.fire("align", name, attempt)
 
+    # The judges receive exactly the layouts the unit measured.
+    layouts = {} if task.oracle or task.prove else None
     with _stage("simulate"):
         if task.kind == "experiment":
             experiment = run_benchmark_experiment(
@@ -293,12 +289,12 @@ def execute_unit(task: UnitTask) -> dict:
                 min_weight=task.min_weight,
                 archs=task.archs,
                 validate=task.validate,
-                engine=task.engine,
                 trace=trace,
                 # Unset defers to REPRO_REPLAY_CHECK, as a bare simulate() does.
                 replay_check=task.replay_check or None,
                 algorithms=task.algorithms,
                 profile_source=task.profile_source,
+                layouts=layouts,
             )
             injector.fire("simulate", name, attempt)
             payload = {"unit": "experiment", "data": experiment_to_dict(experiment)}
@@ -312,20 +308,21 @@ def execute_unit(task: UnitTask) -> dict:
                 program=program,
                 profile=profile,
                 validate=task.validate,
+                layouts=layouts,
             )
             injector.fire("simulate", name, attempt)
             payload = {"unit": "figure4", "data": figure4_row_to_dict(row)}
         else:
             raise FatalError(f"unknown unit kind {task.kind!r}")
 
-    if task.oracle or task.prove:
-        # Compute (and fault-mutate) the layouts once, so the dynamic
-        # oracle and the static prover judge the *same* binaries.
+    if layouts is not None:
+        # Fault-mutate the measured layouts once, so the dynamic oracle
+        # and the static prover judge the *same* binaries.
         with _stage("oracle" if task.oracle else "prove"):
             injector.fire("layout", name, attempt)
             layouts = {
                 label: injector.mutate_layout(name, attempt, label, layout, profile)
-                for label, layout in _oracle_layouts(task, program, profile).items()
+                for label, layout in layouts.items()
             }
         if task.oracle:
             with _stage("oracle"):
@@ -334,37 +331,6 @@ def execute_unit(task: UnitTask) -> dict:
             with _stage("prove"):
                 _run_prove(task, program, layouts)
     return payload
-
-
-def _oracle_layouts(task: UnitTask, program, profile) -> dict:
-    """The aligned layouts the unit's experiment actually exercises."""
-    from ..oracle import alignment_layouts
-
-    if task.kind == "figure4":
-        return alignment_layouts(
-            program,
-            profile,
-            window=task.window,
-            models=("btb",),
-            include_greedy=True,
-            include_greedy_btfnt=False,
-            min_weight=task.min_weight,
-        )
-    models = tuple(
-        model
-        for model, served in TRY_MODEL_ARCHS.items()
-        if any(arch in task.archs for arch in served)
-    )
-    return alignment_layouts(
-        program,
-        profile,
-        window=task.window,
-        models=models,
-        include_greedy=any(arch != "btfnt" for arch in task.archs),
-        include_greedy_btfnt="btfnt" in task.archs,
-        min_weight=task.min_weight,
-        algorithms=task.algorithms,
-    )
 
 
 def _run_oracle(task: UnitTask, program, profile, layouts, decisions=None) -> None:
@@ -602,7 +568,6 @@ def run_units(
             prove=config.prove or task.prove,
             lint=config.lint or task.lint,
             meld=config.meld or task.meld,
-            engine=config.engine,
             replay_check=config.replay_check or task.replay_check,
             trace_cache=(
                 config.trace_cache if config.trace_cache is not None else task.trace_cache

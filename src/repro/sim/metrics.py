@@ -139,7 +139,7 @@ def _simulate_execute(
     seed: int,
     max_events: Optional[int],
 ) -> SimulationReport:
-    """The legacy engine: one full execution feeding every simulator."""
+    """The execute engine: one full execution feeding every simulator."""
     mix = CondMixListener()
     result: ExecutionResult = execute(
         linked, listeners=list(sims) + [mix], seed=seed, max_events=max_events
@@ -170,10 +170,11 @@ def simulate(
 
     Engine selection: an explicit ``engine`` ("execute" or "replay")
     wins; otherwise passing a ``trace`` selects the replay engine and
-    plain calls keep the legacy single-execution path.  With
-    ``engine="replay"`` and no trace, one is captured on the fly — same
-    result, none of the reuse.  The legacy path stays addressable as
-    ``engine="execute"`` for one release while replay bakes in.
+    plain calls execute the binary once.  With ``engine="replay"`` and
+    no trace, one is captured on the fly — same result, none of the
+    reuse.  The pipeline always replays; ``engine="execute"`` is the
+    differential reference that ``replay_check``, claim 14 and the
+    replay property tests compare against.
 
     ``replay_check`` (or the ``REPRO_REPLAY_CHECK=1`` environment
     variable) runs both engines on identical simulator copies and raises

@@ -98,6 +98,25 @@ class TestResilienceFlags:
         assert main(["table3", "--benchmarks", "alvinn", "--resume"]) == 2
         assert "--checkpoint" in capsys.readouterr().err
 
+    def test_trace_fault_fires_in_table3(self, capsys):
+        assert main(["table3", "--benchmarks", "eqntott", "--scale", "0.02",
+                     "--inject", "eqntott:trace:crash:99"]) == 3
+
+    def test_figure4_rejects_trace_faults(self, capsys):
+        """figure4 units have no trace stage, so the fault could never fire."""
+        assert main(["figure4", "--benchmarks", "eqntott", "--scale", "0.02",
+                     "--inject", "eqntott:trace:crash:99"]) == 2
+        assert "no trace stage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--replay-check"],
+        ["--trace-cache", "traces", "--inject", "eqntott:trace:corrupt-trace"],
+    ])
+    def test_figure4_has_no_trace_flags(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure4", "--benchmarks", "eqntott", "--scale", "0.02", *flags])
+        assert exc.value.code == 2
+
     def test_checkpoint_resume_via_cli(self, tmp_path, capsys):
         ckpt = str(tmp_path / "c.jsonl")
         assert main(["table3", "--benchmarks", "alvinn,compress",
@@ -136,6 +155,19 @@ class TestResilienceFlags:
         assert main(["table3", "--benchmarks", "compress", "--scale", "0.02",
                      "--checkpoint", str(journal), "--resume"]) == 2
         assert "queue directory" in capsys.readouterr().err
+
+
+class TestRetiredCommands:
+    def test_bench_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--quick"])
+        assert exc.value.code == 2
+
+    def test_engine_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table3", "--benchmarks", "eqntott", "--scale", "0.02",
+                  "--engine", "execute"])
+        assert exc.value.code == 2
 
 
 class TestDot:

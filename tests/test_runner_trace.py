@@ -1,4 +1,4 @@
-"""The runner's trace stage: caching, corrupt-trace faults, engines."""
+"""The runner's trace stage: caching, corrupt-trace faults, replay checks."""
 
 import pytest
 
@@ -32,11 +32,6 @@ class TestTraceCache:
         second = _run(trace_cache=cache)
         assert not second.failures
         assert second.results[0] == first.results[0]
-
-    def test_engines_agree(self, tmp_path):
-        replayed = _run(trace_cache=tmp_path / "traces")
-        executed = _run(engine="execute")
-        assert replayed.results[0] == executed.results[0]
 
     def test_replay_check_threads_through(self):
         result = _run(replay_check=True)
