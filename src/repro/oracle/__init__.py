@@ -1,9 +1,9 @@
 """Differential layout oracle: prove aligned binaries replay the
 original dynamic instruction stream (see :mod:`repro.oracle.oracle`)."""
 
-from .capture import BlockRef, TraceCapture, capture_trace
 from .oracle import (
     MAX_DIVERGENCES,
+    BlockRef,
     Divergence,
     OracleReport,
     alignment_layouts,
@@ -17,9 +17,7 @@ __all__ = [
     "Divergence",
     "MAX_DIVERGENCES",
     "OracleReport",
-    "TraceCapture",
     "alignment_layouts",
-    "capture_trace",
     "render_oracle_reports",
     "summarize_failures",
     "verify_alignments",

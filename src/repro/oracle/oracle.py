@@ -3,31 +3,60 @@
 The paper's credibility rests on OM's rewrite changing *where* code
 lives, never *what* it does: an aligned binary must execute the same
 dynamic instruction stream as the original, only at different addresses.
-This module proves that property for every layout the aligners produce,
-by replaying each benchmark's trace on the original and the aligned
-binary and checking **trace isomorphism**:
+This module checks that property for every layout the aligners produce,
+by replaying each benchmark's decision trace on the original and the
+aligned binary and checking **trace isomorphism**:
 
 * **block-sequence** — both executions visit the identical sequence of
   ``(procedure, block)`` pairs;
 * **branch-sense** — every emitted conditional outcome in the aligned
   run equals the original outcome XOR the layout's registered sense
   inversion for that branch;
-* **flow-conservation** — the edge traversal counts observed on the
-  aligned binary equal the :class:`EdgeProfile` collected on the
-  original (the profile the aligner consumed);
+* **flow-conservation** — the edge traversal counts of the run equal
+  the :class:`EdgeProfile` passed in (the profile the aligner consumed);
 * **address-replay** — the original trace's semantic decisions are
   replayed through the aligned *lowered instruction stream* (branch
   target addresses, fall-through adjacency, inserted jumps), verifying
-  each transfer lands at the expected block's address.  This is the
-  check that catches rewriter bugs the structural layout checks missed:
-  a mutated placement, a wrong-sense branch, a retargeted jump;
+  each transfer lands at the expected block's address;
 * **edit-agreement** — the edits :mod:`repro.isa.diff` *reports*
   (inversions, inserted jumps, deleted branches) match the edits
   actually observed in the lowered code, and blocks it does not report
   are lowered identically.
 
-Divergences carry the first diverging trace index plus the expected and
-actual block, so a failure reads like a debugger backtrace, not a flag.
+Every dynamic check is a pure function of one step template of the
+:class:`~repro.sim.decisions.DecisionTrace` — the edge it replays, the
+conditional whose emitted bit it compares, the block it enters — so the
+oracle judges each distinct template once, weighted by its count, not
+each step.  The original image is linked and bound to the trace
+(:func:`~repro.sim.replay.compile_steps`) once per unit; each aligned
+image once per layout.  Flow-conservation, ``blocks_compared`` and
+``edges_replayed`` follow from the template counts.  Only when a
+template fails does one pass over the step stream recover the trace
+indices of its first occurrences, so a divergence carries the first
+diverging trace index plus the expected and actual block and reads like
+a debugger backtrace, not a flag.
+
+What each check can see.  The trace fixes every decision and the block
+each step enters, independently of the image it is replayed through:
+
+* block-sequence compares the trace with itself; it guards the replay
+  machinery and no layout can fail it;
+* flow-conservation compares the profile passed in with the trace; it
+  catches a profile from another run, not a rewriter bug;
+* branch-sense and edit-agreement compare code generated from a
+  placement with that placement's own declared edits (taken targets,
+  inversions, jumps, deletions), so a placement-level fault that stays
+  consistent with itself — a conditional flipped to its other
+  successor, a retargeted jump — passes both;
+* address-replay compares the lowered image with the trace's
+  decisions.  It is the check that catches a mutated placement, a
+  wrong-sense branch or a retargeted jump.  On 101 layout faults
+  (``flip-sense`` and ``mutate-layout`` on every registry layout of
+  eqntott, compress, alvinn, gcc, li and espresso at scale 0.05) it was
+  the only check that fired, and it caught all 101.  A jump retargeted
+  to a zero-size block that starts where the right target starts links
+  to an unchanged image, which no judge can (or should) reject; that is
+  why ``mutate-layout`` draws again in that case.
 """
 
 from __future__ import annotations
@@ -38,15 +67,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cfg import BlockId, Program, TerminatorKind
 from ..core.registry import TRY_MODEL_ARCHS, aligner_names, get_spec
 from ..isa.diff import diff_layouts
-from ..isa.encoder import INSTRUCTION_BYTES, LinkedProgram, link, link_identity
+from ..isa.encoder import LinkedProgram, link
 from ..isa.instructions import Opcode
 from ..isa.layout import ProgramLayout
 from ..profiling.edge_profile import EdgeProfile
-from .capture import BlockRef, TraceCapture, capture_trace
+from ..sim import trace as tr
+from ..sim.decisions import DecisionTrace, capture_decisions
+from ..sim.replay import compile_steps
+
+#: A block in stable coordinates: (procedure name, block id).
+BlockRef = Tuple[str, BlockId]
 
 #: Cap on divergences recorded per check — the first one is the story,
 #: the rest confirm it is systematic.
 MAX_DIVERGENCES = 5
+
+#: A failing template's divergence text: (expected, actual, detail).
+_Text = Tuple[str, str, str]
 
 
 @dataclass
@@ -54,8 +91,8 @@ class Divergence:
     """One observed difference between original and aligned behaviour."""
 
     check: str
-    #: Index into the dynamic trace (block sequence or edge trail), or
-    #: ``None`` for static (edit-agreement / flow) findings.
+    #: Index into the dynamic trace (block sequence, conditional
+    #: executions or edge trail), or ``None`` for static findings.
     index: Optional[int]
     expected: str
     actual: str
@@ -104,8 +141,6 @@ class _LoweredView:
         self.term_target: Dict[BlockRef, int] = {}
         #: (proc, bid) -> appended-jump target address.
         self.jump_target: Dict[BlockRef, int] = {}
-        #: (proc, bid) -> block has a terminator instruction at all.
-        self.has_terminator: Dict[BlockRef, bool] = {}
         self.start_of: Dict[BlockRef, int] = {}
         self.block_at: Dict[int, BlockRef] = {}
         #: Every block starting at an address.  A block lowered to zero
@@ -114,12 +149,18 @@ class _LoweredView:
         #: address can name several blocks — branching to it reaches all
         #: of them.
         self.blocks_at: Dict[int, List[BlockRef]] = {}
+        #: Branch-site address (terminator or appended jump) -> its block.
+        self.site_block: Dict[int, BlockRef] = {}
         for proc_name, placed in linked.blocks.items():
             for bid, lb in placed.items():
                 ref = (proc_name, bid)
                 self.start_of[ref] = lb.start
                 self.block_at[lb.start] = ref
                 self.blocks_at.setdefault(lb.start, []).append(ref)
+                if lb.term_address is not None:
+                    self.site_block[lb.term_address] = ref
+                if lb.jump_address is not None:
+                    self.site_block[lb.jump_address] = ref
         for proc_name in linked.program.order:
             branch_at = {
                 instr.address: instr
@@ -132,10 +173,8 @@ class _LoweredView:
             for bid, lb in linked.blocks[proc_name].items():
                 ref = (proc_name, bid)
                 term = branch_at.get(lb.term_address)
-                if term is not None:
-                    self.has_terminator[ref] = True
-                    if term.target is not None:
-                        self.term_target[ref] = term.target
+                if term is not None and term.target is not None:
+                    self.term_target[ref] = term.target
                 jump = branch_at.get(lb.jump_address)
                 if jump is not None and lb.jump_address is not None:
                     self.jump_target[ref] = jump.target
@@ -146,70 +185,75 @@ class _LoweredView:
         return _fmt_block(ref) if ref is not None else f"{address:#x}"
 
 
-# ----------------------------------------------------------------------
-# Individual checks
-# ----------------------------------------------------------------------
-def _check_block_sequence(
-    baseline: TraceCapture, aligned: TraceCapture
-) -> List[Divergence]:
-    out: List[Divergence] = []
-    for index, (expected, actual) in enumerate(zip(baseline.blocks, aligned.blocks)):
-        if expected != actual:
-            out.append(Divergence(
-                "block-sequence", index, _fmt_block(expected), _fmt_block(actual),
-            ))
-            if len(out) >= MAX_DIVERGENCES:
-                return out
-    if len(baseline.blocks) != len(aligned.blocks):
-        out.append(Divergence(
-            "block-sequence",
-            min(len(baseline.blocks), len(aligned.blocks)),
-            f"{len(baseline.blocks)} blocks",
-            f"{len(aligned.blocks)} blocks",
-            "trace lengths differ",
-        ))
-    return out
+class _Image:
+    """One linked image bound to a decision trace, template by template."""
+
+    def __init__(self, linked: LinkedProgram, trace: DecisionTrace):
+        self.lowered = lowered = _LoweredView(linked)
+        steps = compile_steps(linked, trace)
+        #: Per template: the block its step enters (None for returns).
+        self.entered: List[Optional[BlockRef]] = [
+            (step.enter_proc, step.enter_bid) if step.enter_size >= 0 else None
+            for step in steps
+        ]
+        #: Per template: its conditional's (block, emitted taken bit).
+        self.cond: List[Optional[Tuple[BlockRef, bool]]] = [
+            next(
+                (
+                    (lowered.site_block[site], taken)
+                    for kind, site, _target, taken in step.events
+                    if kind == tr.COND
+                ),
+                None,
+            )
+            for step in steps
+        ]
+        #: Per template: the intra-procedural edge it traverses.
+        self.edges = [step.edge for step in steps]
 
 
-def _check_branch_sense(
-    baseline: TraceCapture, aligned: TraceCapture, layout: ProgramLayout
-) -> List[Divergence]:
+# ----------------------------------------------------------------------
+# Individual checks: each maps a failing template to its divergence text
+# ----------------------------------------------------------------------
+def _block_failures(base: _Image, aligned: _Image) -> Dict[int, _Text]:
+    return {
+        tid: (_fmt_block(want), _fmt_block(got), "")
+        for tid, (want, got) in enumerate(zip(base.entered, aligned.entered))
+        if want != got
+    }
+
+
+def _sense_failures(
+    base: _Image, aligned: _Image, layout: ProgramLayout
+) -> Dict[int, _Text]:
     inverted = {
         (name, bid)
         for name in layout.program.order
         for bid in layout[name].inverted_conditionals()
     }
-    out: List[Divergence] = []
-    for index, ((ref0, taken0), (ref1, taken1)) in enumerate(
-        zip(baseline.cond_outcomes, aligned.cond_outcomes)
-    ):
+    out: Dict[int, _Text] = {}
+    for tid, (was, now) in enumerate(zip(base.cond, aligned.cond)):
+        if was is None or now is None:
+            continue
+        (ref0, taken0), (ref1, taken1) = was, now
         if ref0 != ref1:
-            out.append(Divergence(
-                "branch-sense", index, _fmt_block(ref0), _fmt_block(ref1),
+            out[tid] = (
+                _fmt_block(ref0), _fmt_block(ref1),
                 "conditional executed out of order",
-            ))
-        else:
-            expected = taken0 != (ref0 in inverted)
-            if taken1 != expected:
-                out.append(Divergence(
-                    "branch-sense", index,
-                    f"{_fmt_block(ref0)} taken={expected}",
-                    f"{_fmt_block(ref1)} taken={taken1}",
-                    "outcome disagrees with registered sense inversion",
-                ))
-        if len(out) >= MAX_DIVERGENCES:
-            return out
-    if len(baseline.cond_outcomes) != len(aligned.cond_outcomes):
-        out.append(Divergence(
-            "branch-sense", None,
-            f"{len(baseline.cond_outcomes)} conditional executions",
-            f"{len(aligned.cond_outcomes)} conditional executions",
-        ))
+            )
+            continue
+        expected = taken0 != (ref0 in inverted)
+        if taken1 != expected:
+            out[tid] = (
+                f"{_fmt_block(ref0)} taken={expected}",
+                f"{_fmt_block(ref1)} taken={taken1}",
+                "outcome disagrees with registered sense inversion",
+            )
     return out
 
 
 def _check_flow_conservation(
-    profile: EdgeProfile, aligned: TraceCapture
+    profile: EdgeProfile, edge_counts: Dict[Tuple[str, BlockId, BlockId], int]
 ) -> List[Divergence]:
     expected: Dict[Tuple[str, BlockId, BlockId], int] = {}
     for name in profile.procedures():
@@ -217,8 +261,8 @@ def _check_flow_conservation(
             if count:
                 expected[(name, src, dst)] = count
     out: List[Divergence] = []
-    for key in sorted(set(expected) | set(aligned.edge_counts)):
-        want, got = expected.get(key, 0), aligned.edge_counts.get(key, 0)
+    for key in sorted(set(expected) | set(edge_counts)):
+        want, got = expected.get(key, 0), edge_counts.get(key, 0)
         if want != got:
             proc, src, dst = key
             out.append(Divergence(
@@ -232,24 +276,22 @@ def _check_flow_conservation(
     return out
 
 
-def _check_address_replay(
-    program: Program, baseline: TraceCapture, lowered: _LoweredView
-) -> List[Divergence]:
-    """Replay the original trace's decisions through the aligned code.
+def _replay_failures(
+    kinds: Dict[BlockRef, TerminatorKind], base: _Image, lowered: _LoweredView
+) -> Dict[int, _Text]:
+    """Replay each of the original trace's transfers through the aligned code.
 
     For every intra-procedural transition ``src -> dst`` the original
     binary performed, derive from the aligned *instruction stream* (not
     the layout data structure) the address control actually transfers
     to, and require it to be ``dst``'s address.
     """
-    out: List[Divergence] = []
-    kinds = {
-        (proc.name, bid): proc.block(bid).kind
-        for proc in program
-        for bid in proc.blocks
-    }
+    out: Dict[int, _Text] = {}
     linked = lowered.linked
-    for index, (proc_name, src, dst) in enumerate(baseline.edge_trail):
+    for tid, edge in enumerate(base.edges):
+        if edge is None:
+            continue
+        proc_name, src, dst = edge
         ref = (proc_name, src)
         kind = kinds[ref]
         if kind in (TerminatorKind.INDIRECT, TerminatorKind.RETURN):
@@ -269,17 +311,49 @@ def _check_address_replay(
         else:  # FALLTHROUGH
             reached = lowered.jump_target.get(ref, lb.end)
         if reached != dst_addr:
-            out.append(Divergence(
-                "address-replay", index,
+            out[tid] = (
                 _fmt_block((proc_name, dst)),
                 lowered.resolve(reached),
                 f"lowered code for block {_fmt_block(ref)} transfers to "
                 f"{reached:#x}, {_fmt_block((proc_name, dst))} lives at "
                 f"{dst_addr:#x}",
-            ))
-            if len(out) >= MAX_DIVERGENCES:
-                break
+            )
     return out
+
+
+def _locate(
+    trace: DecisionTrace,
+    checks: Sequence[Tuple[str, int, Sequence[object], Dict[int, _Text]]],
+) -> List[List[Divergence]]:
+    """Find where the failing templates first occur, in one pass.
+
+    Each check is ``(name, first index, members, failures)``: a step of
+    template ``tid`` takes the next index of that check's sequence when
+    ``members[tid]`` is not None, and ``failures`` holds the failing
+    templates' texts.  Records the first :data:`MAX_DIVERGENCES`
+    failing steps per check, and stops once every check has them.
+    """
+    found: List[List[Divergence]] = [[] for _ in checks]
+    wanted = [
+        min(MAX_DIVERGENCES, sum(trace.counts[tid] for tid in failures))
+        for _name, _first, _members, failures in checks
+    ]
+    live = [i for i, want in enumerate(wanted) if want]
+    if not live:
+        return found
+    index = [first for _name, first, _members, _failures in checks]
+    for tid in trace.iter_steps():
+        for i in live:
+            name, _first, members, failures = checks[i]
+            if members[tid] is None:
+                continue
+            text = failures.get(tid)
+            if text is not None and len(found[i]) < wanted[i]:
+                found[i].append(Divergence(name, index[i], *text))
+            index[i] += 1
+        if all(len(found[i]) == wanted[i] for i in live):
+            break
+    return found
 
 
 def _observed_edits(program: Program, lowered: _LoweredView):
@@ -332,13 +406,18 @@ def _same_destination(
 
 
 def _check_edit_agreement(
-    program: Program, layout: ProgramLayout, lowered: _LoweredView
+    program: Program,
+    layout: ProgramLayout,
+    lowered: _LoweredView,
+    identity: ProgramLayout,
+    id_view: _LoweredView,
+    id_cond: Dict[BlockRef, int],
 ) -> List[Divergence]:
-    """``isa.diff``'s reported edits must match the lowered code."""
-    identity = ProgramLayout.identity(program)
+    """``isa.diff``'s reported edits must match the lowered code.
+
+    ``id_cond`` holds the original image's conditional branch targets.
+    """
     diffs = {d.name: d for d in diff_layouts(identity, layout)}
-    id_view = _LoweredView(link_identity(program))
-    id_cond, id_jumps, id_missing = _observed_edits(program, id_view)
     al_cond, al_jumps, al_missing = _observed_edits(program, lowered)
 
     out: List[Divergence] = []
@@ -424,43 +503,17 @@ def verify_layout(
     layout: ProgramLayout,
     seed: int = 0,
     label: str = "aligned",
-    baseline: Optional[TraceCapture] = None,
-    max_events: Optional[int] = None,
-    decisions=None,
+    decisions: Optional[DecisionTrace] = None,
 ) -> OracleReport:
     """Differentially verify one aligned layout against the original.
 
-    ``baseline`` lets callers capture the original trace once and verify
-    many layouts against it; ``profile`` must be the edge profile the
-    aligner consumed (collected on the original binary with ``seed``).
-    ``decisions`` (a :class:`~repro.sim.decisions.DecisionTrace`) replays
-    the shared decision stream through both images instead of
-    re-executing each one.
+    A one-layout :func:`verify_alignments`: ``profile`` must be the edge
+    profile the aligner consumed, and ``decisions`` the program's
+    decision trace (captured with ``seed`` when omitted).
     """
-    if baseline is None:
-        baseline = capture_trace(
-            link_identity(program), seed=seed, max_events=max_events,
-            decisions=decisions,
-        )
-    aligned_linked = link(layout)
-    aligned = capture_trace(
-        aligned_linked, seed=seed, max_events=max_events, trail=False,
-        decisions=decisions,
-    )
-    lowered = _LoweredView(aligned_linked)
-
-    divergences: List[Divergence] = []
-    divergences += _check_block_sequence(baseline, aligned)
-    divergences += _check_branch_sense(baseline, aligned, layout)
-    divergences += _check_flow_conservation(profile, aligned)
-    divergences += _check_address_replay(program, baseline, lowered)
-    divergences += _check_edit_agreement(program, layout, lowered)
-    return OracleReport(
-        label=label,
-        blocks_compared=len(baseline.blocks),
-        edges_replayed=len(baseline.edge_trail),
-        divergences=divergences,
-    )
+    return verify_alignments(
+        program, profile, {label: layout}, seed=seed, decisions=decisions
+    )[0]
 
 
 def alignment_layouts(
@@ -515,29 +568,53 @@ def verify_alignments(
     profile: EdgeProfile,
     layouts: Dict[str, ProgramLayout],
     seed: int = 0,
-    max_events: Optional[int] = None,
-    decisions=None,
+    decisions: Optional[DecisionTrace] = None,
 ) -> List[OracleReport]:
     """Verify several labelled layouts against one shared baseline.
 
-    The program executes exactly once: its decision trace is captured
-    (unless ``decisions`` hands one in) and replayed to produce the
-    baseline capture *and* every aligned capture — N layouts cost one
-    execution, and baseline/aligned comparability is by construction.
+    The program executes at most once: its decision trace is captured
+    with ``seed`` (unless ``decisions`` hands one in) and bound to the
+    original image once and to each aligned image once, so N layouts
+    cost one capture and baseline/aligned comparability is by
+    construction.
     """
     if decisions is None:
-        from ..sim.decisions import capture_decisions
-
         decisions = capture_decisions(program, seed=seed)
-    baseline = capture_trace(
-        link_identity(program), seed=seed, max_events=max_events,
-        decisions=decisions,
+    counts = decisions.counts
+    identity = ProgramLayout.identity(program)
+    base = _Image(link(identity), decisions)
+    id_cond = _observed_edits(program, base.lowered)[0]
+    kinds = {
+        (proc.name, bid): proc.block(bid).kind
+        for proc in program
+        for bid in proc.blocks
+    }
+    edge_counts: Dict[Tuple[str, BlockId, BlockId], int] = {}
+    for edge, count in zip(base.edges, counts):
+        if edge is not None and count:
+            edge_counts[edge] = edge_counts.get(edge, 0) + count
+    flow = _check_flow_conservation(profile, edge_counts)
+    blocks_compared = 1 + sum(
+        count for entered, count in zip(base.entered, counts) if entered is not None
     )
-    return [
-        verify_layout(
-            program, profile, layout,
-            seed=seed, label=label, baseline=baseline, max_events=max_events,
-            decisions=decisions,
+    edges_replayed = sum(edge_counts.values())
+
+    reports: List[OracleReport] = []
+    for label, layout in layouts.items():
+        aligned = _Image(link(layout), decisions)
+        blocks, senses, replays = _locate(decisions, (
+            ("block-sequence", 1, base.entered, _block_failures(base, aligned)),
+            ("branch-sense", 0, base.cond, _sense_failures(base, aligned, layout)),
+            ("address-replay", 0, base.edges,
+             _replay_failures(kinds, base, aligned.lowered)),
+        ))
+        edits = _check_edit_agreement(
+            program, layout, aligned.lowered, identity, base.lowered, id_cond
         )
-        for label, layout in layouts.items()
-    ]
+        reports.append(OracleReport(
+            label=label,
+            blocks_compared=blocks_compared,
+            edges_replayed=edges_replayed,
+            divergences=blocks + senses + list(flow) + replays + edits,
+        ))
+    return reports

@@ -54,6 +54,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
 from ..cfg import TerminatorKind
+from ..isa.encoder import link
 from ..isa.layout import ProcedureLayout, ProgramLayout
 from ..profiling.edge_profile import EdgeProfile
 from .errors import FatalError, TransientError, annotate_stage
@@ -529,7 +530,12 @@ def _flip_sense(
 def _retarget_transfer(
     layout: ProgramLayout, profile: EdgeProfile, rng: random.Random
 ) -> Optional[ProgramLayout]:
-    """Point the hottest inserted jump (or unconditional) at a wrong block."""
+    """Point the hottest inserted jump (or unconditional) at a wrong block.
+
+    A wrong block can be a zero-size block starting where the right one
+    starts, so the mutated layout links to the same image; such a draw is
+    vacuous and is made again without that block.
+    """
     best = None
     for name, proc_layout in layout.layouts.items():
         proc = proc_layout.procedure
@@ -557,5 +563,13 @@ def _retarget_transfer(
     if best is None:
         return None
     _, name, victim, field_name, wrong = best
-    target = wrong[rng.randrange(len(wrong))]
-    return _swap_placement(layout, name, victim, replace(victim, **{field_name: target}))
+    image = link(layout).disassemble()
+    while wrong:
+        target = wrong[rng.randrange(len(wrong))]
+        mutated = _swap_placement(
+            layout, name, victim, replace(victim, **{field_name: target})
+        )
+        if link(mutated).disassemble() != image:
+            return mutated
+        wrong.remove(target)
+    return None

@@ -1,11 +1,16 @@
-"""Tests for semantic trace capture (repro.oracle.capture)."""
+"""Tests for the per-step capture listener the oracle reference keeps.
+
+``capture_trace`` records every block, conditional outcome and edge of
+one run; the per-step reference oracle in ``test_oracle_reference``
+compares two such captures.
+"""
 
 import pytest
 
 from repro.isa.encoder import link, link_identity
-from repro.oracle import capture_trace
 from repro.profiling import profile_program
 from repro.workloads import generate_benchmark
+from tests.oracle.test_oracle_reference import capture_trace
 
 SCALE = 0.02
 

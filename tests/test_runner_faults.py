@@ -1,7 +1,11 @@
 """Fault injection and retry: specs, determinism, healing, corruption."""
 
+import random
+
 import pytest
 
+from repro.isa.encoder import link
+from repro.oracle import alignment_layouts
 from repro.profiling import profile_program
 from repro.runner import (
     FaultPlan,
@@ -12,7 +16,7 @@ from repro.runner import (
     parse_fault_spec,
     run_suite_resilient,
 )
-from repro.runner.faults import FaultInjector
+from repro.runner.faults import FaultInjector, _retarget_transfer
 from repro.runner.retry import call_with_retry, retry_rng
 from repro.workloads import generate_benchmark
 
@@ -141,3 +145,43 @@ class TestSuiteLevelFaults:
         assert failure.kind == "validation"
         assert failure.stage == "profile"
         assert failure.attempts == 1  # validation errors are never retried
+
+
+class _CountingRandom(random.Random):
+    """A seeded generator that counts its ``randrange`` draws."""
+
+    def __init__(self, seed: str):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randrange(self, *args, **kwargs):
+        self.draws += 1
+        return super().randrange(*args, **kwargs)
+
+
+class TestLayoutFaults:
+    @pytest.fixture(scope="class")
+    def li(self):
+        program = generate_benchmark("li", 0.05)
+        profile = profile_program(program, seed=0)
+        return program, profile, alignment_layouts(program, profile)
+
+    def test_mutate_layout_always_changes_the_linked_image(self, li):
+        """li's disptree layout first draws a zero-size block that starts
+        where the right target starts; that probe would link unchanged."""
+        _program, profile, layouts = li
+        plan = FaultPlan((FaultSpec("li", "layout", "mutate-layout"),))
+        for label, layout in layouts.items():
+            mutated = FaultInjector(plan).mutate_layout("li", 1, label, layout, profile)
+            assert link(mutated).disassemble() != link(layout).disassemble(), label
+
+    def test_only_a_vacuous_draw_is_made_again(self, li):
+        """A first draw that changes the image is kept as it was drawn."""
+        _program, profile, layouts = li
+        draws = {}
+        for label, layout in layouts.items():
+            rng = _CountingRandom(f"repro-fault:0:li:{label}:mutate-layout")
+            assert _retarget_transfer(layout, profile, rng) is not None
+            draws[label] = rng.draws
+        assert draws.pop("disptree") > 1
+        assert set(draws.values()) == {1}
