@@ -35,7 +35,7 @@ from ..core.registry import ALIGNER_KEYS, TRY_MODEL_ARCHS, plan_algorithms
 from ..isa.encoder import LinkedProgram, link, link_identity
 from ..isa.layout import ProgramLayout
 from ..profiling import EdgeProfile
-from ..sim.decisions import DecisionTrace, load_or_capture
+from ..sim.decisions import DecisionTrace, capture_decisions
 from ..sim.metrics import ALL_ARCHS, SimulationReport, simulate
 from ..sim.predictors import (
     BTBSim,
@@ -155,7 +155,6 @@ def run_benchmark_experiment(
     profile: Optional[EdgeProfile] = None,
     validate: bool = False,
     trace: Optional[DecisionTrace] = None,
-    trace_store: Optional[object] = None,
     replay_check: Optional[bool] = None,
     algorithms: Optional[Sequence[str]] = None,
     profile_source: str = "measured",
@@ -177,10 +176,10 @@ def run_benchmark_experiment(
     plans its variants for ``archs``; architectures it cannot serve land
     in :attr:`BenchmarkExperiment.skips` with the registry's reason.
 
-    The workload's decisions are captured **once** (or loaded from
-    ``trace_store``/``trace``) and replayed through every layout — N
-    aligned binaries cost one execution.  The edge profile then comes
-    straight from the trace (bit for bit what a profiling run records).
+    The workload's decisions are captured **once** (or handed in as
+    ``trace``) and replayed through every layout — N aligned binaries
+    cost one execution.  The edge profile then comes straight from the
+    trace (bit for bit what a profiling run records).
     ``replay_check`` (or ``REPRO_REPLAY_CHECK=1``) also executes every
     layout and asserts the replayed report is identical.
 
@@ -208,9 +207,7 @@ def run_benchmark_experiment(
         category = SUITE[name].category if name in SUITE else "custom"
     archs = tuple(archs)
     if trace is None:
-        trace, _ = load_or_capture(
-            trace_store, program, workload=name, scale=scale, seed=seed
-        )
+        trace = capture_decisions(program, seed=seed)
     if profile is None:
         profile = trace.edge_profile(program)
 

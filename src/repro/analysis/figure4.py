@@ -14,10 +14,11 @@ from typing import Dict, List, Optional, Sequence
 
 from ..cfg import Program
 from ..core import GreedyAligner, TryNAligner, make_model
-from ..isa.encoder import link_identity
+from ..isa.encoder import LinkedProgram, link_identity
 from ..isa.layout import ProgramLayout
-from ..profiling import EdgeProfile, profile_program
+from ..profiling import EdgeProfile
 from ..sim.alpha import AlphaConfig, alpha_execution_cycles
+from ..sim.decisions import DecisionTrace, capture_decisions
 from ..workloads import FIGURE4_PROGRAMS, generate_benchmark
 from .experiment import checked_link
 
@@ -55,42 +56,52 @@ def run_figure4_program(
     profile: Optional[EdgeProfile] = None,
     validate: bool = False,
     layouts: Optional[Dict[str, ProgramLayout]] = None,
+    trace: Optional[DecisionTrace] = None,
+    replay_check: Optional[bool] = None,
 ) -> Figure4Row:
     """Model Figure 4's hardware measurement for one program.
 
-    This is the per-benchmark unit the resilient runner isolates;
+    This is the per-benchmark unit the resilient runner isolates.  The
+    workload's decisions are captured once (or handed in as ``trace``)
+    and replayed through all three images; the aligners' edge profile
+    comes from the same trace unless ``profile`` is given.
     ``program``/``profile`` let a caller that already traced the
     workload (and validated the profile) hand both in, and ``validate``
     runs the layout/address invariant checks after each alignment.
-    ``layouts``, when given, receives the two aligned layouts, labelled
-    ``greedy`` and ``try{window}-btb`` as in the experiment.
+    ``replay_check`` (default ``REPRO_REPLAY_CHECK``) also executes each
+    image and requires identical Alpha tallies.  ``layouts``, when
+    given, receives the two aligned layouts, labelled ``greedy`` and
+    ``try{window}-btb`` as in the experiment.
     """
     if program is None:
         program = generate_benchmark(name, scale)
+    if trace is None:
+        trace = capture_decisions(program, seed=seed)
     if profile is None:
-        profile = profile_program(program, seed=seed)
+        profile = trace.edge_profile(program)
 
-    original = alpha_execution_cycles(link_identity(program), seed=seed, config=config)
+    def cycles(linked: LinkedProgram) -> float:
+        return alpha_execution_cycles(
+            linked, trace, seed=seed, config=config, replay_check=replay_check
+        ).cycles
+
+    original = cycles(link_identity(program))
 
     greedy_layout = GreedyAligner(chain_order="weight").align(program, profile)
-    greedy = alpha_execution_cycles(
-        checked_link(greedy_layout, validate), seed=seed, config=config
-    )
+    greedy = cycles(checked_link(greedy_layout, validate))
 
     try_aligner = TryNAligner(make_model("btb"), window=window)
     try_layout = try_aligner.align(program, profile)
-    try15 = alpha_execution_cycles(
-        checked_link(try_layout, validate), seed=seed, config=config
-    )
+    try15 = cycles(checked_link(try_layout, validate))
     if layouts is not None:
         layouts["greedy"] = greedy_layout
         layouts[f"try{window}-btb"] = try_layout
 
     return Figure4Row(
         name=name,
-        original_cycles=original.cycles,
-        greedy_cycles=greedy.cycles,
-        try15_cycles=try15.cycles,
+        original_cycles=original,
+        greedy_cycles=greedy,
+        try15_cycles=try15,
     )
 
 

@@ -41,11 +41,11 @@ Gives the library's main workflows a shell entry point:
   registered workload (``--lint``);
 * ``dot`` — emit a procedure's control-flow graph in Graphviz format.
 
-Suite commands capture each benchmark's decision trace once and replay
-it through every aligned layout; ``--replay-check`` differentially
-checks every replay against a fresh execution, and ``--trace-cache
-DIR`` persists captured decision traces across runs.  ``figure4`` has
-neither flag: its Alpha timing model executes each layout.
+Suite commands (``table3``/``table4``/``figure4``) capture each
+benchmark's decision trace once and replay it through every linked
+image, Figure 4's Alpha timing model included; ``--replay-check``
+differentially checks every replay against a fresh execution, and
+``--trace-cache DIR`` persists captured decision traces across runs.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 partial
 suite results (some benchmarks failed; see the failure table).
@@ -157,26 +157,17 @@ def _runner_config(
     """Build the runner's per-unit switches, and the fabric config when
     the table/figure flags ask for isolation or a checkpoint."""
     faults = None
-    if getattr(args, "inject", None):
+    if args.inject:
         try:
             specs = tuple(parse_fault_spec(spec) for spec in args.inject)
         except ValueError as exc:
             raise UsageError(str(exc))
         faults = FaultPlan(specs=specs, seed=args.seed)
-        # Only commands whose units capture a decision trace register
-        # --trace-cache; figure4's timing model executes every layout.
-        if not hasattr(args, "trace_cache") and any(s.stage == "trace" for s in specs):
-            raise UsageError(
-                f"{args.command} units have no trace stage; trace faults "
-                f"cannot fire"
-            )
         if any(s.kind == "corrupt-artifact" for s in specs) and not args.store:
             raise UsageError(
                 "corrupt-artifact faults need an artifact store; add --store DIR"
             )
-        if any(s.stage == "layout" for s in specs) and not (
-            args.oracle or getattr(args, "prove", False)
-        ):
+        if any(s.stage == "layout" for s in specs) and not (args.oracle or args.prove):
             raise UsageError(
                 "layout faults are only observable by the oracle or the "
                 "prover; add --oracle or --prove"
@@ -185,9 +176,7 @@ def _runner_config(
             raise UsageError(
                 "break-cfg faults are only observable by the linter; add --lint"
             )
-        if any(s.kind == "corrupt-trace" for s in specs) and not getattr(
-            args, "trace_cache", None
-        ):
+        if any(s.kind == "corrupt-trace" for s in specs) and not args.trace_cache:
             raise UsageError(
                 "corrupt-trace faults corrupt the on-disk trace cache; "
                 "add --trace-cache DIR"
@@ -224,12 +213,12 @@ def _runner_config(
         retry=retry,
         faults=faults,
         oracle=args.oracle,
-        prove=getattr(args, "prove", False),
+        prove=args.prove,
         lint=args.lint,
-        meld=getattr(args, "meld", False),
+        meld=args.meld,
         store=args.store,
-        replay_check=getattr(args, "replay_check", False),
-        trace_cache=getattr(args, "trace_cache", None),
+        replay_check=args.replay_check,
+        trace_cache=args.trace_cache,
     )
     return config, fabric
 
@@ -1792,7 +1781,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the summary to a file")
     p.set_defaults(func=cmd_worker)
 
-    def runner_flags(p, trace):
+    def runner_flags(p):
         g = p.add_argument_group("resilient runner")
         g.add_argument("--checkpoint", metavar="DIR",
                        help="run through the fabric with a durable queue "
@@ -1838,15 +1827,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist results to a crash-safe checksummed "
                             "artifact store (corrupt artifacts are "
                             "quarantined and re-run on --resume)")
-        if not trace:
-            return  # no trace stage: the timing model executes every layout
         g.add_argument("--replay-check", action="store_true",
                        help="differentially check every replay against a "
                             "fresh execution (slow; reports must be "
                             "bit-identical)")
         g.add_argument("--trace-cache", metavar="DIR",
                        help="cache captured decision traces on disk, keyed "
-                            "by (workload, scale, seed) fingerprint; "
+                            "by (workload, scale, seed, meld) fingerprint; "
                             "corrupt or stale entries are quarantined and "
                             "re-captured transparently")
 
@@ -1862,7 +1849,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit machine-readable CSV instead of a table")
         common(p, window=window)
         if name != "table2":
-            runner_flags(p, trace=name != "figure4")
+            runner_flags(p)
         p.set_defaults(func=func)
 
     p = sub.add_parser(

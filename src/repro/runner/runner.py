@@ -42,6 +42,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -51,7 +52,6 @@ from ..analysis.experiment import (
     run_benchmark_experiment,
 )
 from ..analysis.figure4 import Figure4Row, run_figure4_program
-from ..profiling import profile_program
 from ..sim.alpha import AlphaConfig
 from ..sim.decisions import load_or_capture, trace_fingerprint, trace_key
 from ..sim.metrics import ALL_ARCHS
@@ -219,38 +219,28 @@ def execute_unit(task: UnitTask) -> dict:
             if meld_report.applied:
                 meld_ctx = (original, program, tuple(meld_report.applied))
 
-    trace = None
-    if task.kind == "experiment":
-        with _stage("trace"):
-            trace_store = (
-                ArtifactStore(task.trace_cache)
-                if task.trace_cache is not None
-                else None
+    with _stage("trace"):
+        trace_store = (
+            ArtifactStore(task.trace_cache) if task.trace_cache is not None else None
+        )
+        capture = partial(
+            load_or_capture, trace_store, program,
+            workload=name, scale=task.scale, seed=task.seed, meld=task.meld,
+        )
+        trace, _hit = capture()
+        if trace_store is not None:
+            key = trace_key(
+                name, trace_fingerprint(name, task.scale, task.seed, task.meld)
             )
-            trace, _hit = load_or_capture(
-                trace_store, program, workload=name, scale=task.scale, seed=task.seed
-            )
-            if trace_store is not None:
-                key = trace_key(name, trace_fingerprint(name, task.scale, task.seed))
-                if injector.corrupt_trace(name, attempt, trace_store.path_for(key)):
-                    # A corrupt cache entry may cost a re-capture, never
-                    # correctness: the reload must quarantine the damaged
-                    # bytes and transparently capture a fresh trace.
-                    trace, _hit = load_or_capture(
-                        trace_store,
-                        program,
-                        workload=name,
-                        scale=task.scale,
-                        seed=task.seed,
-                    )
-            injector.fire("trace", name, attempt)
+            if injector.corrupt_trace(name, attempt, trace_store.path_for(key)):
+                # A corrupt cache entry may cost a re-capture, never
+                # correctness: the reload must quarantine the damaged
+                # bytes and transparently capture a fresh trace.
+                trace, _hit = capture()
+        injector.fire("trace", name, attempt)
 
     with _stage("profile"):
-        if trace is not None:
-            profile = trace.edge_profile(program)
-        else:
-            profile = profile_program(program, seed=task.seed)
-        profile = injector.corrupt_profile(name, attempt, profile)
+        profile = injector.corrupt_profile(name, attempt, trace.edge_profile(program))
         injector.fire("profile", name, attempt)
         if task.validate:
             validate_profile(program, profile)
@@ -309,6 +299,8 @@ def execute_unit(task: UnitTask) -> dict:
                 profile=profile,
                 validate=task.validate,
                 layouts=layouts,
+                trace=trace,
+                replay_check=task.replay_check or None,
             )
             injector.fire("simulate", name, attempt)
             payload = {"unit": "figure4", "data": figure4_row_to_dict(row)}
@@ -326,20 +318,20 @@ def execute_unit(task: UnitTask) -> dict:
             }
         if task.oracle:
             with _stage("oracle"):
-                _run_oracle(task, program, profile, layouts, decisions=trace)
+                _run_oracle(task, program, profile, layouts, trace)
         if task.prove:
             with _stage("prove"):
                 _run_prove(task, program, layouts)
     return payload
 
 
-def _run_oracle(task: UnitTask, program, profile, layouts, decisions=None) -> None:
+def _run_oracle(task: UnitTask, program, profile, layouts, decisions) -> None:
     """Differentially verify every aligned layout of one unit.
 
     ``layouts`` already carries any scheduled layout fault, so an
     injected rewriter bug must flow through the oracle and surface as a
-    ValidationError.  ``decisions`` reuses the unit's decision trace so
-    the oracle adds zero extra executions.
+    ValidationError.  ``decisions`` is the unit's decision trace, so the
+    oracle adds zero extra executions.
     """
     from ..oracle import summarize_failures, verify_alignments
 

@@ -31,9 +31,12 @@ from typing import Dict, Optional, Set
 
 from ..isa.encoder import LinkedProgram
 from . import trace as tr
+from .decisions import DecisionTrace, capture_decisions
 from .executor import execute
+from .metrics import replay_check_enabled
 from .predictors.ras import ReturnStack
 from .predictors.static_ import conditional_taken_targets
+from .replay import ReplayMismatchError, replay
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,6 @@ class AlphaSim:
 
     def on_event(self, event) -> None:
         """Charge branch penalties for one control-flow event."""
-        """Charge branch penalties for one control-flow event."""
         kind, site, target, taken = event
         cfg = self.config
         if kind == tr.COND:
@@ -146,17 +148,40 @@ class AlphaSim:
 
 def alpha_execution_cycles(
     linked: LinkedProgram,
+    trace: Optional[DecisionTrace] = None,
     seed: int = 0,
     config: AlphaConfig = AlphaConfig(),
-    max_events: Optional[int] = None,
+    replay_check: Optional[bool] = None,
 ) -> AlphaSim:
-    """Run a linked binary through the 21064 model; returns the simulator."""
+    """Replay a decision trace through the 21064 model; returns the simulator.
+
+    ``trace`` is the program's decision trace, captured with ``seed``
+    when not handed in.  ``replay_check`` (default: the
+    ``REPRO_REPLAY_CHECK`` environment variable, as for
+    :func:`~repro.sim.metrics.simulate`) also executes ``linked`` on a
+    second simulator and raises
+    :class:`~repro.sim.replay.ReplayMismatchError` unless every tally
+    matches.
+    """
+    if trace is None:
+        trace = capture_decisions(linked.program, seed=seed)
     sim = AlphaSim(linked, config)
-    execute(
-        linked,
-        listeners=[sim],
-        block_listeners=[sim],
-        seed=seed,
-        max_events=max_events,
-    )
+    replay(linked, trace, listeners=[sim], block_listeners=[sim])
+    if replay_check is None:
+        replay_check = replay_check_enabled()
+    if replay_check:
+        executed = AlphaSim(linked, config)
+        execute(linked, listeners=[executed], block_listeners=[executed], seed=seed)
+        if _tallies(sim) != _tallies(executed):
+            raise ReplayMismatchError(
+                "Alpha replay diverged from execute:\n"
+                f"  replay:  {_tallies(sim)}\n  execute: {_tallies(executed)}"
+            )
     return sim
+
+
+def _tallies(sim: AlphaSim) -> Dict[str, float]:
+    """The counts ``cycles`` is computed from."""
+    names = ("instructions", "icache_misses", "misfetch_cycles",
+             "mispredict_cycles", "cond_executed", "cond_correct")
+    return {name: getattr(sim, name) for name in names}

@@ -17,11 +17,11 @@ ids, streamed in bounded-memory chunks.
 
 Traces persist through the crash-safe artifact store
 (:mod:`repro.runner.store`) under a config fingerprint covering the
-workload identity *and* the trace/ISA schema versions, with an internal
-SHA-256 digest on top of the store's own manifest checksum.  Any cache
-miss, staleness or corruption is handled by quarantining the entry and
-transparently re-capturing — a trace cache can never make a run wrong,
-only faster.
+workload identity (melded or not) *and* the trace/ISA schema versions,
+with an internal SHA-256 digest on top of the store's own manifest
+checksum.  Any cache miss, staleness or corruption is handled by
+quarantining the entry and transparently re-capturing — a trace cache
+can never make a run wrong, only faster.
 """
 
 from __future__ import annotations
@@ -73,20 +73,24 @@ class TraceDecodeError(ValueError):
         super().__init__(message)
 
 
-def trace_fingerprint(workload: str, scale: float, seed: int) -> str:
-    """Cache fingerprint for one ``(workload, scale, seed)`` trace.
+def trace_fingerprint(workload: str, scale: float, seed: int, meld: bool = False) -> str:
+    """Cache fingerprint for one ``(workload, scale, seed, meld)`` trace.
 
-    Besides the workload identity, the fingerprint covers the trace
-    schema and the ISA encoding versions: bumping either invalidates
-    every cached trace without touching the store on disk (old entries
-    simply stop being addressed, and ``repro doctor --store --repair``
-    sweeps them out as stale).
+    ``meld`` says whether the traced program is the workload with its
+    approved branch melds applied: melding changes the CFG, so a melded
+    and a plain run of one workload never share a trace.  Besides the
+    workload identity, the fingerprint covers the trace schema and the
+    ISA encoding versions: bumping either invalidates every cached trace
+    without touching the store on disk (old entries simply stop being
+    addressed, and ``repro doctor --store --repair`` sweeps them out as
+    stale).
     """
     blob = json.dumps(
         {
             "workload": workload,
             "scale": scale,
             "seed": seed,
+            "meld": meld,
             "trace_schema": TRACE_SCHEMA_VERSION,
             "isa_format": ISA_FORMAT_VERSION,
             "instruction_bytes": INSTRUCTION_BYTES,
@@ -247,6 +251,7 @@ def capture_decisions(
     reset: bool = True,
     workload: Optional[str] = None,
     scale: Optional[float] = None,
+    meld: bool = False,
 ) -> DecisionTrace:
     """Capture the decision stream of one ``(program, seed)`` run.
 
@@ -254,6 +259,8 @@ def capture_decisions(
     :func:`repro.sim.executor.execute` does, so a trace captured here and
     an execution with the same seed make identical decisions.  No layout
     is involved: the walk sees only blocks, edges and callees.
+    ``workload``, ``scale`` and ``meld`` name the program for the trace
+    cache (see :func:`trace_fingerprint`).
     """
     if reset:
         program.reset_behaviors(seed)
@@ -386,8 +393,9 @@ def capture_decisions(
     if workload is not None:
         meta["workload"] = workload
         meta["scale"] = scale
+        meta["meld"] = meld
         if scale is not None:
-            fingerprint = trace_fingerprint(workload, scale, seed)
+            fingerprint = trace_fingerprint(workload, scale, seed, meld)
     return DecisionTrace(templates, counts, chunks, steps, meta, fingerprint)
 
 
@@ -523,12 +531,14 @@ def load_or_capture(
     workload: str,
     scale: float,
     seed: int = 0,
+    meld: bool = False,
 ) -> Tuple[DecisionTrace, bool]:
     """Fetch a cached trace, or capture (and cache) a fresh one.
 
     Returns ``(trace, cache_hit)``.  ``store`` is duck-typed (the
     :class:`TraceStore` surface of :class:`repro.runner.store.
-    ArtifactStore`); pass ``None`` to always capture.
+    ArtifactStore`); pass ``None`` to always capture.  ``meld`` says
+    whether ``program`` is the melded workload; it is part of the key.
 
     Every unusable cached entry — stale (``stale-schema``,
     ``stale-fingerprint``) as well as corrupt (``digest-mismatch``,
@@ -538,7 +548,7 @@ def load_or_capture(
     correctness dependency, so *every* exception on the load path is
     converted into a miss.
     """
-    fingerprint = trace_fingerprint(workload, scale, seed)
+    fingerprint = trace_fingerprint(workload, scale, seed, meld)
     key = trace_key(workload, fingerprint)
     if store is not None and key in store:
         try:
@@ -556,7 +566,9 @@ def load_or_capture(
                 pass
         else:
             return trace, True
-    trace = capture_decisions(program, seed=seed, workload=workload, scale=scale)
+    trace = capture_decisions(
+        program, seed=seed, workload=workload, scale=scale, meld=meld
+    )
     if store is not None:
         store.put(key, encode_trace(trace))
     return trace, False

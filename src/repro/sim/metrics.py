@@ -137,13 +137,10 @@ def _simulate_execute(
     linked: LinkedProgram,
     sims: Sequence[object],
     seed: int,
-    max_events: Optional[int],
 ) -> SimulationReport:
     """The execute engine: one full execution feeding every simulator."""
     mix = CondMixListener()
-    result: ExecutionResult = execute(
-        linked, listeners=list(sims) + [mix], seed=seed, max_events=max_events
-    )
+    result: ExecutionResult = execute(linked, listeners=list(sims) + [mix], seed=seed)
     return _report_from(sims, result.instructions, result.events, mix.taken, mix.executed)
 
 
@@ -157,7 +154,6 @@ def simulate(
     profile: EdgeProfile,
     archs: Optional[Sequence[object]] = None,
     seed: int = 0,
-    max_events: Optional[int] = None,
     *,
     trace: Optional[DecisionTrace] = None,
     engine: Optional[str] = None,
@@ -191,7 +187,7 @@ def simulate(
     if engine is None:
         engine = "replay" if trace is not None else "execute"
     if engine == "execute":
-        return _simulate_execute(linked, sims, seed, max_events)
+        return _simulate_execute(linked, sims, seed)
     if engine != "replay":
         raise ValueError(f"unknown simulation engine {engine!r}")
 
@@ -202,13 +198,11 @@ def simulate(
     if replay_check is None:
         replay_check = replay_check_enabled()
     shadow = copy.deepcopy(sims) if replay_check else None
-    instructions, events, cond_executed, cond_taken = run_architectures(
-        linked, trace, sims, max_events=max_events
-    )
+    instructions, events, cond_executed, cond_taken = run_architectures(linked, trace, sims)
     report = _report_from(sims, instructions, events, cond_taken, cond_executed)
     if replay_check:
         assert shadow is not None
-        legacy = _simulate_execute(linked, shadow, seed, max_events)
+        legacy = _simulate_execute(linked, shadow, seed)
         if legacy != report:
             raise ReplayMismatchError(
                 "replay diverged from execute:\n"

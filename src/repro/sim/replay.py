@@ -31,9 +31,9 @@ ever being unfaithful:
   inlined over the conditional steps alone.  Returns come from the
   trace's return-stack statistics.
 * **faithful** — any other listener (trace capture, recorders,
-  subclassed predictors) receives every event through the same
-  ``on_event`` protocol the executor uses, in the same order, with the
-  same ``max_events`` cut-off semantics.
+  subclassed predictors, the Alpha timing model) receives every event
+  through the same ``on_event`` protocol the executor uses, in the same
+  order.
 
 The cheaper tiers are keyed on *exact* type — a subclass (e.g. the
 tournament PHT) drops to the faithful tier rather than silently
@@ -188,15 +188,12 @@ def replay(
     block_listeners: Sequence[BlockListener] = (),
     profile_hook: Optional[Callable[[str, BlockId, BlockId], None]] = None,
     block_hook: Optional[Callable[[str, BlockId], None]] = None,
-    max_events: Optional[int] = None,
     compiled: Optional[List[_Step]] = None,
 ) -> ExecutionResult:
-    """Faithful replay: same events, hooks, order and cut-off as execute.
+    """Faithful replay: same events, hooks and order as execute.
 
-    Drop-in equivalent of :func:`repro.sim.executor.execute` driven by a
-    decision trace instead of behaviours — including the exact
-    ``max_events`` semantics (an entered block's instructions are not
-    counted when the cap fires on the transfer into it).
+    Drop-in equivalent of an uncapped :func:`repro.sim.executor.execute`
+    driven by a decision trace instead of behaviours.
     """
     if compiled is None:
         compiled = compile_steps(linked, trace)
@@ -228,8 +225,6 @@ def replay(
                 for cb in emit:
                     cb(event)
             events += len(step_events)
-        if max_events is not None and events >= max_events:
-            break
         if step.enter_size >= 0:
             instructions += step.enter_size
             blocks_executed += 1
@@ -1003,33 +998,13 @@ def run_architectures(
     linked: LinkedProgram,
     trace: DecisionTrace,
     sims: Sequence[Any],
-    max_events: Optional[int] = None,
 ) -> Tuple[int, int, int, int]:
     """Feed every simulator one replay of ``trace`` under ``linked``.
 
     Returns ``(instructions, events, cond_executed, cond_taken)`` — the
     stream totals the :class:`SimulationReport` header wants.  Each sim
-    is served by the cheapest exact tier its type and state allow; a
-    ``max_events`` cap forces the fully faithful path because aggregate
-    and slice totals have no notion of a mid-stream cut.
+    is served by the cheapest exact tier its type and state allow.
     """
-    if max_events is not None:
-        executed = 0
-        taken = 0
-
-        class _Mix:
-            def on_event(self, event: Event) -> None:
-                nonlocal executed, taken
-                if event[0] == 0:
-                    executed += 1
-                    if event[3]:
-                        taken += 1
-
-        result = replay(
-            linked, trace, listeners=list(sims) + [_Mix()], max_events=max_events
-        )
-        return result.instructions, result.events, executed, taken
-
     layout = _Layout(linked, trace)
     feeds = [feed for feed in (_serve(sim, layout) for sim in sims) if feed is not None]
     if feeds:

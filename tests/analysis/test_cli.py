@@ -103,19 +103,31 @@ class TestResilienceFlags:
                      "--inject", "eqntott:trace:crash:99"]) == 3
 
     def test_figure4_rejects_trace_faults(self, capsys):
-        """figure4 units have no trace stage, so the fault could never fire."""
+        """A trace-stage fault fails the figure4 unit, as it does in table3."""
         assert main(["figure4", "--benchmarks", "eqntott", "--scale", "0.02",
-                     "--inject", "eqntott:trace:crash:99"]) == 2
-        assert "no trace stage" in capsys.readouterr().err
+                     "--inject", "eqntott:trace:crash:99"]) == 3
+        captured = capsys.readouterr()
+        assert "partial: true" in captured.out
+        assert "trace" in captured.err
 
     @pytest.mark.parametrize("flags", [
         ["--replay-check"],
         ["--trace-cache", "traces", "--inject", "eqntott:trace:corrupt-trace"],
+        ["--trace-cache", "traces"],
     ])
-    def test_figure4_has_no_trace_flags(self, flags, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["figure4", "--benchmarks", "eqntott", "--scale", "0.02", *flags])
-        assert exc.value.code == 2
+    def test_figure4_has_no_trace_flags(self, flags, tmp_path, monkeypatch, capsys):
+        """figure4 takes table3's trace flags, and they never change its
+        table: the replay check passes, and a cold cache, a warm cache and
+        a corrupted entry all print the uncached table."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["figure4", "--benchmarks", "eqntott", "--scale", "0.02"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        for _ in range(2):
+            assert main(argv + flags) == 0
+            assert capsys.readouterr().out == plain
+        if "--trace-cache" in flags:
+            assert list((tmp_path / "traces").glob("trace_eqntott*.json"))
 
     def test_checkpoint_resume_via_cli(self, tmp_path, capsys):
         ckpt = str(tmp_path / "c.jsonl")

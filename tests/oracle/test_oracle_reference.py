@@ -126,8 +126,8 @@ def capture_trace(
     ``decisions`` replays a captured
     :class:`~repro.sim.decisions.DecisionTrace` through ``linked``
     instead of re-executing: one real execution then serves the baseline
-    and every aligned layout (``seed`` is ignored — the trace already
-    fixes the inputs).
+    and every aligned layout (``seed`` and ``max_events`` are ignored —
+    the trace already fixes the inputs, and a replay runs whole).
     """
     listener = _CaptureListener(linked, trail=trail)
     if decisions is not None:
@@ -139,7 +139,6 @@ def capture_trace(
             listeners=(listener,),
             profile_hook=listener.hook,
             block_hook=listener.on_block,
-            max_events=max_events,
         )
     else:
         result = execute(
@@ -370,7 +369,6 @@ def verify_layout(
     seed: int = 0,
     label: str = "aligned",
     baseline: Optional[TraceCapture] = None,
-    max_events: Optional[int] = None,
     decisions=None,
 ) -> OracleReport:
     """Differentially verify one aligned layout against the original.
@@ -383,15 +381,9 @@ def verify_layout(
     re-executing each one.
     """
     if baseline is None:
-        baseline = capture_trace(
-            link_identity(program), seed=seed, max_events=max_events,
-            decisions=decisions,
-        )
+        baseline = capture_trace(link_identity(program), seed=seed, decisions=decisions)
     aligned_linked = link(layout)
-    aligned = capture_trace(
-        aligned_linked, seed=seed, max_events=max_events, trail=False,
-        decisions=decisions,
-    )
+    aligned = capture_trace(aligned_linked, seed=seed, trail=False, decisions=decisions)
     lowered = _LoweredView(aligned_linked)
 
     divergences: List[Divergence] = []
@@ -413,7 +405,6 @@ def verify_alignments(
     profile: EdgeProfile,
     layouts: Dict[str, ProgramLayout],
     seed: int = 0,
-    max_events: Optional[int] = None,
     decisions=None,
 ) -> List[OracleReport]:
     """Verify several labelled layouts against one shared baseline.
@@ -427,15 +418,11 @@ def verify_alignments(
         from repro.sim.decisions import capture_decisions
 
         decisions = capture_decisions(program, seed=seed)
-    baseline = capture_trace(
-        link_identity(program), seed=seed, max_events=max_events,
-        decisions=decisions,
-    )
+    baseline = capture_trace(link_identity(program), seed=seed, decisions=decisions)
     return [
         verify_layout(
             program, profile, layout,
-            seed=seed, label=label, baseline=baseline, max_events=max_events,
-            decisions=decisions,
+            seed=seed, label=label, baseline=baseline, decisions=decisions,
         )
         for label, layout in layouts.items()
     ]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from repro.core import GreedyAligner, TryNAligner
 from repro.isa import link, link_identity
 from repro.sim.decisions import capture_decisions, decode_trace, encode_trace
+from repro.sim.executor import execute
 from repro.sim.metrics import simulate
 from repro.sim.predictors import BTBSim, CorrelationPHT, DirectMappedPHT
 from repro.workloads import SUITE, generate_benchmark
@@ -56,23 +57,6 @@ def test_persisted_trace_replays_identically(program, seed):
     assert simulate(linked, profile, trace=revived, engine="replay") == simulate(
         linked, profile, trace=trace, engine="replay"
     )
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    program=programs(),
-    seed=st.integers(min_value=0, max_value=2**16),
-    cap=st.integers(min_value=0, max_value=64),
-)
-def test_replay_cap_semantics_match(program, seed, cap):
-    trace = capture_decisions(program, seed=seed)
-    profile = trace.edge_profile(program)
-    linked = link_identity(program)
-    replayed = simulate(
-        linked, profile, seed=seed, max_events=cap, trace=trace, engine="replay"
-    )
-    executed = simulate(linked, profile, seed=seed, max_events=cap, engine="execute")
-    assert replayed == executed
 
 
 # -- every tier and every fallback, down to the simulators' final state ----
@@ -165,10 +149,9 @@ def test_prewarmed_sims_match_execute(program, seed, cap):
     """Sims warmed by an earlier run — whole, or cut by ``max_events`` so
     the return stack may still hold entries — replay exactly."""
     trace = capture_decisions(program, seed=seed)
-    profile = trace.edge_profile(program)
     layouts = list(_layouts(program, trace))
     warm = _probes()
-    simulate(layouts[0], profile, archs=warm, seed=seed, max_events=cap, engine="execute")
+    execute(layouts[0], listeners=warm, seed=seed, max_events=cap)
     _replay_and_execute(
         program, seed, layouts[-1], trace, copy.deepcopy(warm), copy.deepcopy(warm)
     )
@@ -185,10 +168,9 @@ def test_sims_warmed_mid_call_match_execute(name, seed, cap):
     the trace's return statistics cannot account for."""
     program = generate_benchmark(name, 0.02)
     trace = capture_decisions(program, seed=seed)
-    profile = trace.edge_profile(program)
     layouts = list(_layouts(program, trace))
     warm = _probes()
-    simulate(layouts[0], profile, archs=warm, seed=seed, max_events=cap, engine="execute")
+    execute(layouts[0], listeners=warm, seed=seed, max_events=cap)
     _replay_and_execute(
         program, seed, layouts[-1], trace, copy.deepcopy(warm), copy.deepcopy(warm)
     )
@@ -198,11 +180,10 @@ def test_a_cut_run_can_leave_return_stack_entries():
     """Keeps the property above honest: some cut does leave entries."""
     program = generate_benchmark("li", 0.02)
     linked = link_identity(program)
-    profile = capture_decisions(program, seed=0).edge_profile(program)
     lives = set()
     for cap in range(1, 400, 7):
         sim = DirectMappedPHT()
-        simulate(linked, profile, archs=[sim], seed=0, max_events=cap, engine="execute")
+        execute(linked, listeners=[sim], seed=0, max_events=cap)
         lives.add(sim.ras._live)
     assert max(lives) > 0
 

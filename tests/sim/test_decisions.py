@@ -63,6 +63,11 @@ class TestFingerprint:
             "eqntott", 0.1, 0
         )
 
+    def test_sensitive_to_meld(self):
+        assert trace_fingerprint("eqntott", 0.1, 0, meld=True) != trace_fingerprint(
+            "eqntott", 0.1, 0
+        )
+
     def test_sensitive_to_trace_schema_version(self, monkeypatch):
         before = trace_fingerprint("eqntott", 0.1, 0)
         monkeypatch.setattr(dec, "TRACE_SCHEMA_VERSION", dec.TRACE_SCHEMA_VERSION + 1)

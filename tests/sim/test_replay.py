@@ -52,19 +52,6 @@ def test_replay_bit_identical_across_layouts_and_archs(name):
         assert set(replayed.arch) == set(ALL_ARCHS)
 
 
-@pytest.mark.parametrize("cap", [0, 1, 2, 7, 100, 100000])
-def test_replay_honours_max_events(cap):
-    program = generate_benchmark("eqntott", 0.1)
-    trace = capture_decisions(program, seed=0)
-    linked = link_identity(program)
-    profile = trace.edge_profile(program)
-    replayed = simulate(
-        linked, profile, seed=0, max_events=cap, trace=trace, engine="replay"
-    )
-    executed = simulate(linked, profile, seed=0, max_events=cap, engine="execute")
-    assert replayed == executed
-
-
 def test_replay_event_stream_identical(diamond_program):
     """Raw replay is a drop-in for execute: events, hooks, result."""
     trace = capture_decisions(diamond_program, seed=0)

@@ -3,9 +3,11 @@
 The oracle and the prover receive the experiment's own aligned layouts
 instead of re-deriving them, so every aligner runs once per unit, a
 static-profile run is judged on the static-profile layouts it linked,
-and a figure4 unit is judged on its two layouts only.
+and a figure4 unit is judged on its two layouts only — and replayed
+from the one decision trace the unit captured.
 """
 
+import sys
 from collections import Counter
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import repro.oracle
 import repro.staticcheck.binary
 from repro.analysis import experiment
+from repro.sim import decisions, executor
 from repro.core.registry import AlignerPlan, AlignerSpec, AlignerVariant
 from repro.runner import RunnerConfig, run_figure4_resilient, run_suite_resilient
 
@@ -108,3 +111,43 @@ def test_figure4_unit_judges_its_two_layouts(judged):
     for judge in ("oracle", "prove"):
         (layouts,) = judged[judge]
         assert set(layouts) == {"greedy", f"try{WINDOW}-btb"}
+
+
+def _record_calls(monkeypatch, module, name):
+    """Record the results of every call to ``module.name``, wherever the
+    package imported it by name."""
+    results = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("repro") and \
+                getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, recording)
+    return results
+
+
+def test_figure4_unit_replays_one_trace(monkeypatch):
+    """The unit captures one decision trace; its profile, the three
+    Alpha images and the oracle all replay it, and nothing executes."""
+    monkeypatch.delenv("REPRO_REPLAY_CHECK", raising=False)
+    captured = _record_calls(monkeypatch, decisions, "capture_decisions")
+    executed = _record_calls(monkeypatch, executor, "execute")
+    handed = []
+    verify = repro.oracle.verify_alignments
+
+    def recording_verify(program, profile, layouts, **kwargs):
+        handed.append(kwargs.get("decisions"))
+        return verify(program, profile, layouts, **kwargs)
+
+    monkeypatch.setattr(repro.oracle, "verify_alignments", recording_verify)
+    result = run_figure4_resilient(
+        ["eqntott"], scale=SCALE, window=WINDOW, config=RunnerConfig(oracle=True)
+    )
+    assert not result.partial
+    assert len(captured) == 1
+    assert len(handed) == 1 and handed[0] is captured[0]
+    assert executed == []

@@ -20,6 +20,21 @@ def _run(tmp_path=None, **kwargs):
     return run_suite_resilient(["eqntott"], scale=0.1, config=config)
 
 
+class TestMeldedTraces:
+    """A melded and a plain run of one workload never share a cached trace."""
+
+    @pytest.mark.parametrize("order", [(True, False), (False, True)])
+    def test_cache_keeps_melded_and_plain_traces_apart(self, tmp_path, order):
+        def run(meld, cache=None):
+            config = RunnerConfig(fail_fast=True, meld=meld, trace_cache=cache)
+            return run_suite_resilient(["eqntott"], scale=0.02, config=config).results
+
+        uncached = {meld: run(meld) for meld in order}
+        assert uncached[True] != uncached[False]
+        for meld in order:
+            assert run(meld, tmp_path / "traces") == uncached[meld]
+
+
 class TestTraceCache:
     def test_cache_populated_and_reused(self, tmp_path):
         cache = tmp_path / "traces"
