@@ -12,10 +12,12 @@ For one benchmark this runs the paper's full methodology:
    cost model algorithm is different for each architecture"), and the
    modern arena entries (ext-TSP, disptree) field one
    architecture-blind layout each;
-4. align, link and simulate every variant on the architectures it
-   serves, replaying one shared decision trace; architectures an
-   algorithm cannot serve are recorded as structured skips rather than
-   silently omitted;
+4. align every variant, then link and simulate it on the architectures
+   it serves, replaying one shared decision trace; variants whose
+   layouts are equal (:func:`~repro.isa.layout.layout_key`) share one
+   image, replayed once per architecture; architectures an algorithm
+   cannot serve are recorded as structured skips rather than silently
+   omitted;
 5. report relative CPI = (aligned instructions + BEP) / original
    instructions, plus the fall-through percentage of executed
    conditionals.
@@ -28,12 +30,12 @@ every experiment and tournament.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..cfg import Program
 from ..core.registry import ALIGNER_KEYS, TRY_MODEL_ARCHS, plan_algorithms
 from ..isa.encoder import LinkedProgram, link, link_identity
-from ..isa.layout import ProgramLayout
+from ..isa.layout import ProgramLayout, layout_key
 from ..profiling import EdgeProfile
 from ..sim.decisions import DecisionTrace, capture_decisions
 from ..sim.metrics import ALL_ARCHS, SimulationReport, simulate
@@ -177,9 +179,11 @@ def run_benchmark_experiment(
     in :attr:`BenchmarkExperiment.skips` with the registry's reason.
 
     The workload's decisions are captured **once** (or handed in as
-    ``trace``) and replayed through every layout — N aligned binaries
-    cost one execution.  The edge profile then comes straight from the
-    trace (bit for bit what a profiling run records).
+    ``trace``) and replayed through every distinct image — N aligned
+    binaries cost one execution, and a variant whose layout equals an
+    earlier one (or the original) replays only the architectures that
+    image has not been replayed on.  The edge profile then comes
+    straight from the trace (bit for bit what a profiling run records).
     ``replay_check`` (or ``REPRO_REPLAY_CHECK=1``) also executes every
     layout and asserts the replayed report is identical.
 
@@ -239,6 +243,13 @@ def run_benchmark_experiment(
     base = orig_report.instructions
     experiment.original_instructions = base
 
+    # Equal layouts link to byte-identical images, so each image is
+    # replayed once per architecture: the report of an image (by
+    # layout_key) grows by the architectures a later twin still needs.
+    # The original image seeds the table for every architecture.  Each
+    # distinct aligned layout is still checked and linked at least once.
+    replays: Dict[bytes, SimulationReport] = {layout_key(orig_linked.layout): orig_report}
+    checked: Set[bytes] = set()
     for plan in plan_algorithms(algorithms, archs, window=window, min_weight=min_weight):
         bucket = experiment.outcomes.setdefault(plan.spec.name, {})
         if plan.skips:
@@ -251,15 +262,25 @@ def run_benchmark_experiment(
             layout = variant.aligner.align(program, align_profile)
             if layouts is not None:
                 layouts[variant.label] = layout
-            linked = checked_link(layout, validate)
-            report = simulate(
-                linked,
-                profile,
-                archs=make_arch_sims(variant.archs, linked, profile),
-                seed=seed,
-                trace=trace,
-                replay_check=replay_check,
+            key = layout_key(layout)
+            report = replays.get(key)
+            missing = tuple(
+                a for a in variant.archs if report is None or a not in report.arch
             )
+            if missing or key not in checked:
+                checked.add(key)
+                linked = checked_link(layout, validate)
+                if missing:
+                    fresh = simulate(
+                        linked,
+                        profile,
+                        archs=make_arch_sims(missing, linked, profile),
+                        seed=seed,
+                        trace=trace,
+                        replay_check=replay_check,
+                    )
+                    report = replays.setdefault(key, fresh)
+                    report.arch.update(fresh.arch)
             bucket.update(_report_outcomes(report, variant.archs, base))
 
     return experiment

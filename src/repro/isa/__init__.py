@@ -3,7 +3,14 @@
 from .diff import ProcedureDiff, diff_layouts, diff_procedure_layouts, render_diff
 from .encoder import INSTRUCTION_BYTES, LinkedBlock, LinkedProgram, TEXT_BASE, link, link_identity
 from .instructions import Instruction, Opcode
-from .layout import BlockPlacement, LayoutError, ProcedureLayout, ProgramLayout
+from .layout import (
+    BlockPlacement,
+    LayoutError,
+    ProcedureLayout,
+    ProgramLayout,
+    layout_key,
+    layout_twins,
+)
 from .serialize import (
     LayoutFormatError,
     layout_from_dict,
@@ -28,7 +35,9 @@ __all__ = [
     "diff_layouts",
     "diff_procedure_layouts",
     "layout_from_dict",
+    "layout_key",
     "layout_to_dict",
+    "layout_twins",
     "link",
     "link_identity",
     "load_layout",

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cfg import BlockId, Program, TerminatorKind
 from .instructions import INSTRUCTION_BYTES, Instruction, Opcode
-from .layout import BlockPlacement, ProgramLayout
+from .layout import BlockPlacement, LayoutError, ProgramLayout
 
 #: Base address of the text segment (arbitrary, Alpha-flavoured).
 TEXT_BASE = 0x120000000
@@ -149,7 +149,9 @@ class LinkedProgram:
                 if linked.term_address is not None:
                     out.append(self._terminator(name, block.kind, linked))
                 if linked.jump_address is not None:
-                    target = self.block_address(name, placement.jump_target)
+                    target = self._target_address(
+                        name, placement.bid, placement.jump_target, "appended jump"
+                    )
                     out.append(
                         Instruction(
                             linked.jump_address,
@@ -160,14 +162,28 @@ class LinkedProgram:
                     )
         return out
 
+    def _target_address(
+        self, proc_name: str, bid: BlockId, target: Optional[BlockId], what: str
+    ) -> int:
+        """Address of a branch's target block, which must be in its procedure."""
+        placed = self.blocks[proc_name]
+        if target is None or target not in placed:
+            raise LayoutError(
+                f"{proc_name}: block {bid} has a {what} with no target block "
+                f"in the procedure (target {target})"
+            )
+        return placed[target].start
+
     def _terminator(self, proc_name: str, kind: TerminatorKind, linked: LinkedBlock) -> Instruction:
         assert linked.term_address is not None
-        if kind is TerminatorKind.COND:
-            target = self.block_address(proc_name, linked.placement.taken_target)
-            return Instruction(linked.term_address, Opcode.COND_BRANCH, target=target)
-        if kind is TerminatorKind.UNCOND:
-            target = self.block_address(proc_name, linked.placement.taken_target)
-            return Instruction(linked.term_address, Opcode.UNCOND_BRANCH, target=target)
+        if kind in (TerminatorKind.COND, TerminatorKind.UNCOND):
+            target = self._target_address(
+                proc_name, linked.bid, linked.placement.taken_target, "kept branch"
+            )
+            opcode = (
+                Opcode.COND_BRANCH if kind is TerminatorKind.COND else Opcode.UNCOND_BRANCH
+            )
+            return Instruction(linked.term_address, opcode, target=target)
         if kind is TerminatorKind.INDIRECT:
             return Instruction(linked.term_address, Opcode.INDIRECT_JUMP)
         if kind is TerminatorKind.RETURN:

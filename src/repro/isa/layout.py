@@ -14,12 +14,22 @@ plus the per-block branch rewrites the layout implies:
 The layout is purely structural — addresses are assigned later by
 :mod:`repro.isa.encoder` — and it can always be checked for semantic
 preservation against the source CFG (:meth:`ProcedureLayout.check`).
+
+:func:`layout_key` gives a layout an exact content identity: two layouts
+of one program with equal keys place every block identically and link
+to byte-identical images.  Aligners often agree (Greedy's two chain
+orders, Try15 searched with one cost model for two architectures, an
+aligner that leaves a program as it is), so everything that works per
+image — replay, the oracle, the prover — does that work once per key
+(:func:`layout_twins`).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..cfg import BlockId, Procedure, Program, TerminatorKind
 
@@ -308,3 +318,49 @@ class ProgramLayout:
     def total_size(self) -> int:
         """Static instruction count of the laid-out program."""
         return sum(layout.total_size() for layout in self)
+
+
+_PLACEMENT_FIELDS = attrgetter("bid", "taken_target", "jump_target", "branch_removed")
+
+
+def layout_key(layout: ProgramLayout) -> bytes:
+    """An exact, compact identity of every placement of ``layout``.
+
+    Four 32-bit words per placement — the block, its taken target, its
+    jump target (0 when absent) and a flag word (taken target absent,
+    jump target absent, branch removed) — after each procedure's
+    placement count, in procedure order; a block id that does not fit
+    raises ``OverflowError``.  The encoding is injective, so layouts of
+    one program have equal keys exactly when their placements are equal,
+    which makes their linked images byte-identical.  Keys are compared
+    by equality, never by hash alone, and hold no reference to the
+    layout.
+    """
+    words: List[int] = []
+    for proc_layout in layout:
+        placements = proc_layout.placements
+        words.append(len(placements))
+        for bid, taken, jump, removed in map(_PLACEMENT_FIELDS, placements):
+            words += (
+                bid,
+                0 if taken is None else taken,
+                0 if jump is None else jump,
+                (taken is None) | (jump is None) << 1 | removed << 2,
+            )
+    return array("i", words).tobytes()
+
+
+def layout_twins(
+    layouts: Mapping[str, ProgramLayout],
+) -> Iterator[Tuple[str, ProgramLayout, Optional[str]]]:
+    """Walk labelled layouts of one program in order, pairing each with
+    its first earlier label of equal content.
+
+    Yields ``(label, layout, twin)``: ``twin`` is None for the first
+    label of each :func:`layout_key`, so a judge does its work there and
+    relabels that verdict for every later twin.
+    """
+    first: Dict[bytes, str] = {}
+    for label, layout in layouts.items():
+        twin = first.setdefault(layout_key(layout), label)
+        yield label, layout, None if twin == label else twin

@@ -29,7 +29,8 @@ conditional whose emitted bit it compares, the block it enters — so the
 oracle judges each distinct template once, weighted by its count, not
 each step.  The original image is linked and bound to the trace
 (:func:`~repro.sim.replay.compile_steps`) once per unit; each aligned
-image once per layout.  Flow-conservation, ``blocks_compared`` and
+image once per distinct layout, whose verdict every label of that
+layout shares.  Flow-conservation, ``blocks_compared`` and
 ``edges_replayed`` follow from the template counts.  Only when a
 template fails does one pass over the step stream recover the trace
 indices of its first occurrences, so a divergence carries the first
@@ -69,7 +70,7 @@ from ..core.registry import TRY_MODEL_ARCHS, aligner_names, get_spec
 from ..isa.diff import diff_layouts
 from ..isa.encoder import LinkedProgram, link
 from ..isa.instructions import Opcode
-from ..isa.layout import ProgramLayout
+from ..isa.layout import ProgramLayout, layout_twins
 from ..profiling.edge_profile import EdgeProfile
 from ..sim import trace as tr
 from ..sim.decisions import DecisionTrace, capture_decisions
@@ -574,9 +575,12 @@ def verify_alignments(
 
     The program executes at most once: its decision trace is captured
     with ``seed`` (unless ``decisions`` hands one in) and bound to the
-    original image once and to each aligned image once, so N layouts
-    cost one capture and baseline/aligned comparability is by
-    construction.
+    original image once and to each distinct aligned image once, so N
+    layouts cost one capture and baseline/aligned comparability is by
+    construction.  Labels whose layouts are equal
+    (:func:`~repro.isa.layout.layout_key`) link to one image and share
+    its verdict; a faulted layout is new content and is judged on its
+    own.  One report per label, in input order.
     """
     if decisions is None:
         decisions = capture_decisions(program, seed=seed)
@@ -599,22 +603,26 @@ def verify_alignments(
     )
     edges_replayed = sum(edge_counts.values())
 
-    reports: List[OracleReport] = []
-    for label, layout in layouts.items():
-        aligned = _Image(link(layout), decisions)
-        blocks, senses, replays = _locate(decisions, (
-            ("block-sequence", 1, base.entered, _block_failures(base, aligned)),
-            ("branch-sense", 0, base.cond, _sense_failures(base, aligned, layout)),
-            ("address-replay", 0, base.edges,
-             _replay_failures(kinds, base, aligned.lowered)),
-        ))
-        edits = _check_edit_agreement(
-            program, layout, aligned.lowered, identity, base.lowered, id_cond
-        )
-        reports.append(OracleReport(
+    reports: Dict[str, OracleReport] = {}
+    for label, layout, twin in layout_twins(layouts):
+        if twin is not None:
+            divergences = list(reports[twin].divergences)
+        else:
+            aligned = _Image(link(layout), decisions)
+            blocks, senses, replays = _locate(decisions, (
+                ("block-sequence", 1, base.entered, _block_failures(base, aligned)),
+                ("branch-sense", 0, base.cond, _sense_failures(base, aligned, layout)),
+                ("address-replay", 0, base.edges,
+                 _replay_failures(kinds, base, aligned.lowered)),
+            ))
+            edits = _check_edit_agreement(
+                program, layout, aligned.lowered, identity, base.lowered, id_cond
+            )
+            divergences = blocks + senses + list(flow) + replays + edits
+        reports[label] = OracleReport(
             label=label,
             blocks_compared=blocks_compared,
             edges_replayed=edges_replayed,
-            divergences=blocks + senses + list(flow) + replays + edits,
-        ))
-    return reports
+            divergences=divergences,
+        )
+    return list(reports.values())

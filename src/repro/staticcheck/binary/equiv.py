@@ -27,12 +27,12 @@ much simpler checker in the classic translation-validation style.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ...isa.encoder import LinkedProgram, link_identity
 from ...isa.instructions import Opcode
-from ...isa.layout import ProgramLayout
+from ...isa.layout import ProgramLayout, layout_twins
 from .recover import (
     BinaryImage,
     RecoveredBlock,
@@ -684,6 +684,51 @@ def proof_key(benchmark: str, label: str) -> str:
     return f"proof/{benchmark}/{label}"
 
 
+def _prove_layout(
+    original: RecoveredCFG,
+    layout: ProgramLayout,
+    label: str,
+    elide_trivial: bool,
+) -> EquivalenceProof:
+    """Link, recover and prove one layout; re-check a positive verdict."""
+    try:
+        aligned = recover(BinaryImage.from_linked(LinkedProgram(layout)))
+    except (RecoveryError, ValueError) as exc:
+        return EquivalenceProof(
+            label=label, procedures=(), reason=f"recovery failed: {exc}"
+        )
+    proof = prove_cfgs(original, aligned, label=label, elide_trivial=elide_trivial)
+    if proof.bisimilar:
+        # A proof we cannot independently re-check is no proof at all.
+        check_proof(proof.to_dict(), original, aligned)
+    return proof
+
+
+def _prove_each(
+    original: RecoveredCFG,
+    layouts: Mapping[str, ProgramLayout],
+    store: Any,
+    benchmark: str,
+    elide_trivial: bool,
+) -> Dict[str, EquivalenceProof]:
+    """One proof per label, in input order; each distinct layout proved once.
+
+    Labels with equal layouts (:func:`~repro.isa.layout.layout_key`)
+    link to one image, so a later twin gets the first one's proof under
+    its own label.  Each label's artifact is stored under its own key.
+    """
+    proofs: Dict[str, EquivalenceProof] = {}
+    for label, layout, twin in layout_twins(layouts):
+        if twin is not None:
+            proof = replace(proofs[twin], label=label)
+        else:
+            proof = _prove_layout(original, layout, label, elide_trivial)
+        proofs[label] = proof
+        if store is not None and benchmark:
+            store.put(proof_key(benchmark, label), proof.to_dict())
+    return proofs
+
+
 def prove_layouts(
     program: Any,
     layouts: Mapping[str, ProgramLayout],
@@ -692,31 +737,17 @@ def prove_layouts(
 ) -> Dict[str, EquivalenceProof]:
     """Prove every aligned layout bisimilar to the identity layout.
 
-    Links each layout, recovers both CFGs from the raw instruction
-    streams, runs the prover, and re-validates each positive verdict with
-    the independent :func:`check_proof` checker before returning.  When
-    ``store`` is given (any object with the artifact-store ``put``
-    surface), each proof artifact is persisted under
+    Links each distinct layout, recovers both CFGs from the raw
+    instruction streams, runs the prover, and re-validates each positive
+    verdict with the independent :func:`check_proof` checker before
+    returning; equal layouts share one proof, relabelled.  A layout that
+    cannot be linked or recovered gets a "recovery failed" rejection.
+    When ``store`` is given (any object with the artifact-store ``put``
+    surface), each label's proof artifact is persisted under
     ``proof/<benchmark>/<label>``.
     """
     original = recover(BinaryImage.from_linked(link_identity(program)))
-    proofs: Dict[str, EquivalenceProof] = {}
-    for label, layout in layouts.items():
-        try:
-            aligned = recover(BinaryImage.from_linked(LinkedProgram(layout)))
-        except (RecoveryError, ValueError) as exc:
-            proofs[label] = EquivalenceProof(
-                label=label, procedures=(), reason=f"recovery failed: {exc}"
-            )
-            continue
-        proof = prove_cfgs(original, aligned, label=label)
-        if proof.bisimilar:
-            # A proof we cannot independently re-check is no proof at all.
-            check_proof(proof.to_dict(), original, aligned)
-        proofs[label] = proof
-        if store is not None and benchmark:
-            store.put(proof_key(benchmark, label), proof.to_dict())
-    return proofs
+    return _prove_each(original, layouts, store, benchmark, elide_trivial=False)
 
 
 def prove_meld(
@@ -759,19 +790,4 @@ def prove_meld_layouts(
     unmelded original.
     """
     original = recover(BinaryImage.from_linked(link_identity(original_program)))
-    proofs: Dict[str, EquivalenceProof] = {}
-    for label, layout in layouts.items():
-        try:
-            aligned = recover(BinaryImage.from_linked(LinkedProgram(layout)))
-        except (RecoveryError, ValueError) as exc:
-            proofs[label] = EquivalenceProof(
-                label=label, procedures=(), reason=f"recovery failed: {exc}"
-            )
-            continue
-        proof = prove_cfgs(original, aligned, label=label, elide_trivial=True)
-        if proof.bisimilar:
-            check_proof(proof.to_dict(), original, aligned)
-        proofs[label] = proof
-        if store is not None and benchmark:
-            store.put(proof_key(benchmark, label), proof.to_dict())
-    return proofs
+    return _prove_each(original, layouts, store, benchmark, elide_trivial=True)

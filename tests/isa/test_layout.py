@@ -1,5 +1,9 @@
 """Unit tests for layouts: placements, rewrites, semantic checking."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import pytest
 
 from repro.isa.layout import (
@@ -7,7 +11,10 @@ from repro.isa.layout import (
     LayoutError,
     ProcedureLayout,
     ProgramLayout,
+    layout_key,
+    layout_twins,
 )
+from repro.runner.faults import _swap_placement
 from repro.cfg import Program
 from tests.conftest import (
     diamond_procedure,
@@ -160,3 +167,57 @@ class TestProgramLayout:
         layout = ProgramLayout.identity(call_program)
         names = [pl.procedure.name for pl in layout]
         assert names == list(call_program.order)
+
+
+class TestLayoutKey:
+    """``layout_key`` is an exact content identity of the placements."""
+
+    def test_equal_content_gives_equal_keys(self, call_program):
+        a = ProgramLayout.identity(call_program)
+        b = ProgramLayout.identity(call_program)
+        assert a is not b and layout_key(a) == layout_key(b)
+
+    @pytest.mark.parametrize("field, value", [
+        ("taken_target", None),
+        ("taken_target", 0),
+        ("jump_target", 0),
+        ("jump_target", 3),
+        ("branch_removed", True),
+    ])
+    def test_every_placement_field_is_in_the_key(self, call_program, field, value):
+        layout = ProgramLayout.identity(call_program)
+        name = call_program.order[-1]
+        for victim in layout[name].placements:
+            if getattr(victim, field) != value:
+                break
+        changed = _swap_placement(layout, name, victim, replace(victim, **{field: value}))
+        assert layout_key(changed) != layout_key(layout)
+
+    def test_placement_order_is_in_the_key(self):
+        proc = diamond_procedure()
+        labels = _labels(proc)
+        identity = ProgramLayout(Program([proc]), {proc.name: ProcedureLayout.identity(proc)})
+        order = [labels[x] for x in ("entry", "test", "else", "join", "exit", "then", "endthen")]
+        moved = ProgramLayout(
+            Program([proc]), {proc.name: ProcedureLayout.from_order(proc, order)}
+        )
+        assert layout_key(moved) != layout_key(identity)
+
+    def test_the_key_does_not_keep_its_layout_alive(self, call_program):
+        layout = ProgramLayout.identity(call_program)
+        alive = weakref.ref(layout)
+        key = layout_key(layout)
+        del layout
+        gc.collect()
+        assert alive() is None and isinstance(key, bytes)
+
+    def test_twins_pair_each_label_with_its_first_equal_label(self, call_program):
+        layout = ProgramLayout.identity(call_program)
+        name = call_program.order[-1]
+        victim = layout[name].placements[0]
+        other = _swap_placement(layout, name, victim, replace(victim, jump_target=0))
+        labelled = {"a": layout, "b": other, "c": ProgramLayout.identity(call_program),
+                    "d": other}
+        assert [(label, twin) for label, _layout, twin in layout_twins(labelled)] == [
+            ("a", None), ("b", None), ("c", "a"), ("d", "b"),
+        ]

@@ -15,6 +15,7 @@ on a profile from another run and on random placement mutations.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from repro.cfg import BlockId, Program, TerminatorKind
 from repro.isa.diff import diff_layouts
 from repro.isa.encoder import LinkedProgram, link, link_identity
-from repro.isa.layout import ProgramLayout
+from repro.isa.layout import LayoutError, ProgramLayout
 from repro.oracle import alignment_layouts
 from repro.oracle import oracle
 from repro.oracle.oracle import (
@@ -43,6 +44,7 @@ from repro.runner.faults import _flip_sense, _retarget_transfer, _swap_placement
 from repro.sim import trace as tr
 from repro.sim.decisions import capture_decisions
 from repro.sim.executor import execute
+from repro.staticcheck.binary import prove_layouts
 from repro.workloads import benchmark_names, generate_benchmark
 from tests.properties.strategies import programs
 
@@ -547,6 +549,14 @@ def _mutate_one_placement(data, layout: ProgramLayout) -> ProgramLayout:
     return _swap_placement(layout, name, victim, replace(victim, **{which: value}))
 
 
+def _reports_or_error(verify, program, profile, layouts, trace):
+    """``verify``'s reports on ``layouts``, or the LayoutError it raised."""
+    try:
+        return verify(program, profile, layouts, seed=SEED, decisions=trace)
+    except LayoutError as exc:
+        return exc
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(program=programs(), data=st.data())
 def test_random_placement_mutation_matches_the_reference(program, data):
@@ -555,5 +565,40 @@ def test_random_placement_mutation_matches_the_reference(program, data):
     layouts = alignment_layouts(program, profile, window=4, algorithms=("greedy", "exttsp"))
     layouts["orig"] = ProgramLayout.identity(program)
     label = data.draw(st.sampled_from(sorted(layouts)))
-    mutated = _mutate_one_placement(data, layouts[label])
-    assert_matches_reference(program, profile, {label: mutated}, trace)
+    mutated = {label: _mutate_one_placement(data, layouts[label])}
+    want = _reports_or_error(verify_alignments, program, profile, mutated, trace)
+    got = _reports_or_error(oracle.verify_alignments, program, profile, mutated, trace)
+    if isinstance(want, LayoutError) or isinstance(got, LayoutError):
+        # A kept branch or an appended jump with no target block cannot
+        # be lowered: both oracles must refuse it with the same error.
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert _texts(got) == _texts(want)
+    assert [r.divergences for r in got] == [r.divergences for r in want]
+
+
+def test_a_kept_branch_without_a_target_is_a_layout_error():
+    """The draw behind the property's old ``KeyError: None``: an
+    unconditional whose deleted branch is put back with no target.  The
+    disassembler refuses it with a LayoutError naming the block; both
+    oracles raise that error and the prover rejects the layout."""
+    program = generate_benchmark("doduc", 0.02)
+    trace = capture_decisions(program, seed=SEED)
+    profile = trace.edge_profile(program)
+    greedy = alignment_layouts(program, profile, algorithms=("greedy",))["greedy"]
+    name, victim = next(
+        (name, p) for name in program.order for p in greedy[name].placements
+        if p.branch_removed
+    )
+    broken = {"broken": _swap_placement(
+        greedy, name, victim, replace(victim, branch_removed=False)
+    )}
+    message = f"{name}: block {victim.bid} has a kept branch with no target block"
+    with pytest.raises(LayoutError, match=re.escape(message)):
+        link(broken["broken"]).disassemble()
+    for verify in (verify_alignments, oracle.verify_alignments):
+        error = _reports_or_error(verify, program, profile, broken, trace)
+        assert isinstance(error, LayoutError) and message in str(error)
+    proof = prove_layouts(program, broken)["broken"]
+    assert not proof.bisimilar
+    assert proof.reason.startswith("recovery failed: ") and message in proof.reason
