@@ -38,15 +38,7 @@ from ..isa.encoder import LinkedProgram, link, link_identity
 from ..isa.layout import ProgramLayout, layout_key
 from ..profiling import EdgeProfile
 from ..sim.decisions import DecisionTrace, capture_decisions
-from ..sim.metrics import ALL_ARCHS, SimulationReport, simulate
-from ..sim.predictors import (
-    BTBSim,
-    BTFNTSim,
-    CorrelationPHT,
-    DirectMappedPHT,
-    FallthroughSim,
-    LikelySim,
-)
+from ..sim.metrics import ALL_ARCHS, SimulationReport, make_arch_sims, simulate
 from ..workloads import SUITE, generate_benchmark
 
 __all__ = [
@@ -59,31 +51,6 @@ __all__ = [
     "run_benchmark_experiment",
     "run_suite_experiment",
 ]
-
-
-def make_arch_sims(
-    names: Sequence[str], linked: LinkedProgram, profile: EdgeProfile
-) -> List[object]:
-    """Instantiate the named architecture simulators for one binary."""
-    sims: List[object] = []
-    for name in names:
-        if name == "fallthrough":
-            sims.append(FallthroughSim())
-        elif name == "btfnt":
-            sims.append(BTFNTSim(linked))
-        elif name == "likely":
-            sims.append(LikelySim(linked, profile))
-        elif name == "pht-direct":
-            sims.append(DirectMappedPHT())
-        elif name == "pht-correlation":
-            sims.append(CorrelationPHT())
-        elif name == "btb-64x2":
-            sims.append(BTBSim(64, 2))
-        elif name == "btb-256x4":
-            sims.append(BTBSim(256, 4))
-        else:
-            raise ValueError(f"unknown architecture {name!r}")
-    return sims
 
 
 def checked_link(layout: ProgramLayout, validate: bool) -> LinkedProgram:
@@ -168,10 +135,11 @@ def run_benchmark_experiment(
     methodology on arbitrary programs; the category then reads "custom").
     ``profile`` reuses an already-collected edge profile instead of
     re-tracing (the resilient runner collects, fault-checks and validates
-    the profile before handing it in).  ``validate`` runs the invariant
-    checks of :mod:`repro.runner.validate` at every stage boundary:
-    profile flow conservation on entry, layout-permutation and
-    address-coverage checks after each align+link.
+    the profile before handing it in).  ``validate`` runs the stage
+    checks of :mod:`repro.runner.validate`: the profile checks on a
+    profile derived here (a handed-in ``profile`` is its caller's to
+    validate), then the layout check before and the address-map check
+    after each link.
 
     ``algorithms`` selects which registered aligners compete (default:
     every algorithm in the registry).  Each algorithm's registry spec
@@ -214,11 +182,10 @@ def run_benchmark_experiment(
         trace = capture_decisions(program, seed=seed)
     if profile is None:
         profile = trace.edge_profile(program)
+        if validate:
+            from ..runner.validate import validate_profile
 
-    if validate:
-        from ..runner.validate import validate_profile
-
-        validate_profile(program, profile)
+            validate_profile(program, profile)
 
     if profile_source == "static":
         from ..profiling import StaticProfile

@@ -34,11 +34,12 @@ Gives the library's main workflows a shell entry point:
   and a consolidated SHA-256-manifested report;
 * ``sensitivity`` — machine-sensitivity sweeps (mispredict penalty,
   issue width) for one benchmark;
-* ``doctor`` — run the pipeline invariant checks standalone, audit /
-  repair an artifact store (``--store DIR [--repair]``; cached decision
-  traces are decoded and stale/corrupt entries flagged), inspect or
-  repair a fabric queue (``--fabric DIR [--repair]``), or lint every
-  registered workload (``--lint``);
+* ``doctor`` — run the lint catalog over one benchmark's pipeline
+  (``--profile`` judges a saved profile) or every registered workload
+  (``--lint``), audit / repair an artifact store (``--store DIR
+  [--repair]``; cached decision traces are decoded and stale/corrupt
+  entries flagged), or inspect or repair a fabric queue (``--fabric DIR
+  [--repair]``);
 * ``dot`` — emit a procedure's control-flow graph in Graphviz format.
 
 Suite commands (``table3``/``table4``/``figure4``) capture each
@@ -105,11 +106,6 @@ from .runner import (
     RunnerConfig,
     RunnerError,
     SuiteRunResult,
-    check_address_coverage,
-    check_cfg,
-    check_flow_conservation,
-    check_layout_permutation,
-    check_profile_consistency,
     parse_fault_spec,
     render_failure_table,
     render_invariant_report,
@@ -455,13 +451,11 @@ def _lint_layouts(program, profile, arch: str, window: int, injector=None,
     corrupted) input contributes a note instead of a layout, so linting
     a broken CFG still terminates with a report.
     """
-    from .core import GreedyAligner as _Greedy, TryNAligner as _TryN
-
     builders = [
         ("orig", lambda: ProgramLayout.identity(program)),
-        ("greedy", lambda: _Greedy().align(program, profile)),
+        ("greedy", lambda: GreedyAligner().align(program, profile)),
         (f"try{window}-{arch}",
-         lambda: _TryN.for_architecture(arch, window=window).align(program, profile)),
+         lambda: TryNAligner.for_architecture(arch, window=window).align(program, profile)),
     ]
     layouts, notes = {}, []
     for label, build in builders:
@@ -951,23 +945,30 @@ def cmd_meld(args: argparse.Namespace) -> int:
 
 
 def _doctor_lint(args: argparse.Namespace) -> int:
-    """Lint every registered workload (or one), per-pass PASS/FAIL.
+    """Lint one benchmark (or every registered workload), PASS/FAIL per pass.
 
-    Each workload is also melded (where the legality analyzer approves)
-    so the RL018–RL021 meld-audit passes run with a real transcript and
-    show up in the aggregate table.
+    Each workload is traced (one benchmark may bring ``--profile``
+    instead), aligned, and melded where the legality analyzer approves,
+    so the RL018–RL021 meld-audit passes run with a real transcript.  A
+    layout that cannot be built fails the report as a ``layout-build``
+    row naming it.
     """
     from .staticcheck import MeldContext, run_lint
     from .transforms import meld_program
 
-    names = [args.benchmark] if args.benchmark else list(SUITE)
+    names = [_require_benchmark(args.benchmark)] if args.benchmark else list(SUITE)
     failures: dict = {}
     descriptions: dict = {}
+    unbuilt: list = []
     clean = True
     for name in names:
         program = generate_benchmark(name, args.scale)
-        profile = profile_program(program, seed=args.seed)
-        layouts, _notes = _lint_layouts(program, profile, args.arch, args.window)
+        if args.profile:
+            profile = load_profile(args.profile)
+        else:
+            profile = profile_program(program, seed=args.seed)
+        layouts, notes = _lint_layouts(program, profile, args.arch, args.window)
+        unbuilt.extend(f"{name}: {note}" for note in notes)
         melded, meld_report = meld_program(program)
         meld = MeldContext(
             original=program, melded=melded,
@@ -995,8 +996,13 @@ def _doctor_lint(args: argparse.Namespace) -> int:
         )
         for pass_id, description in descriptions.items()
     ]
+    if unbuilt:
+        results.insert(0, InvariantResult(
+            "layout-build", f"aligned layouts build ({len(names)} workload(s))",
+            False, unbuilt,
+        ))
     _write(render_invariant_report(results), args.output)
-    return EXIT_OK if clean else EXIT_RUNTIME
+    return EXIT_OK if clean and not unbuilt else EXIT_RUNTIME
 
 
 def _doctor_remote(args: argparse.Namespace) -> int:
@@ -1100,56 +1106,25 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
-    """Run the invariant-validation layer standalone, PASS/FAIL per check."""
+    """Lint a benchmark's pipeline PASS/FAIL per pass, or audit a store,
+    a fabric queue or a live coordinator."""
     if args.repair and not (args.store or args.fabric):
         raise UsageError("--repair needs --store DIR or --fabric DIR")
     if args.store and args.fabric:
         raise UsageError("pick one of --store and --fabric")
+    if args.profile and args.benchmark is None:
+        raise UsageError("--profile needs a benchmark to judge it against")
     if args.remote:
         return _doctor_remote(args)
     if args.fabric:
         return _doctor_fabric(args)
     if args.store:
         return _doctor_store(args)
-    if args.lint:
-        return _doctor_lint(args)
-    if args.benchmark is None:
+    if args.benchmark is None and not args.lint:
         raise UsageError(
-            "doctor needs a benchmark (or --store DIR / --fabric DIR)"
+            "doctor needs a benchmark (or --lint / --store DIR / --fabric DIR)"
         )
-    program = _workload(args)
-    if args.profile:
-        profile = load_profile(args.profile)
-    else:
-        profile = profile_program(program, seed=args.seed)
-    results = [
-        check_cfg(program),
-        check_profile_consistency(program, profile),
-        check_flow_conservation(program, profile),
-    ]
-    aligners = [
-        ("greedy", GreedyAligner()),
-        (f"try{args.window}-{args.arch}",
-         TryNAligner.for_architecture(args.arch, window=args.window)),
-    ]
-    for label, aligner in aligners:
-        try:
-            layout = aligner.align(program, profile)
-        except LayoutError as exc:
-            results.append(InvariantResult(
-                f"layout-permutation:{label}",
-                "layout is a flow-preserving permutation",
-                False, [str(exc)],
-            ))
-            continue
-        permutation = check_layout_permutation(layout)
-        permutation.name += f":{label}"
-        results.append(permutation)
-        coverage = check_address_coverage(link(layout))
-        coverage.name += f":{label}"
-        results.append(coverage)
-    _write(render_invariant_report(results), args.output)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_RUNTIME
+    return _doctor_lint(args)
 
 
 def cmd_breakdown(args: argparse.Namespace) -> int:
@@ -1854,12 +1829,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "doctor",
-        help="validate pipeline invariants for a benchmark (PASS/FAIL "
-             "report), or audit/repair an artifact store",
+        help="lint a benchmark's pipeline (PASS/FAIL per verifier pass), "
+             "or audit/repair an artifact store or fabric queue",
     )
     p.add_argument("benchmark", nargs="?",
-                   help="benchmark to validate (omit with --store)")
-    p.add_argument("--profile", help="validate a saved profile instead of tracing")
+                   help="benchmark to lint (omit with --lint, --store or --fabric)")
+    p.add_argument("--profile",
+                   help="judge a saved profile of BENCHMARK instead of tracing")
     p.add_argument("--store", metavar="DIR",
                    help="audit an artifact store's checksums instead")
     p.add_argument("--fabric", metavar="DIR",
@@ -1877,9 +1853,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=("fallthrough", "btfnt", "likely", "pht", "btb"),
                    default="btb", help="cost-model architecture for the aligned checks")
     p.add_argument("--lint", action="store_true",
-                   help="run the static verifier passes over every "
-                        "registered workload (or just BENCHMARK), "
-                        "PASS/FAIL per pass")
+                   help="without BENCHMARK: lint every registered "
+                        "workload, PASS/FAIL per pass (with BENCHMARK "
+                        "the report is the same as without --lint)")
     common(p, window=True)
     p.set_defaults(func=cmd_doctor)
 

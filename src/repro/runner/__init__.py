@@ -53,13 +53,7 @@ from .runner import (
 )
 from .validate import (
     InvariantResult,
-    check_address_coverage,
-    check_cfg,
-    check_flow_conservation,
-    check_layout_permutation,
-    check_profile_consistency,
     render_invariant_report,
-    require,
     validate_layout,
     validate_linked,
     validate_profile,
@@ -91,11 +85,6 @@ __all__ = [
     "UnitTask",
     "ValidationError",
     "call_with_retry",
-    "check_address_coverage",
-    "check_cfg",
-    "check_flow_conservation",
-    "check_layout_permutation",
-    "check_profile_consistency",
     "classify",
     "execute_unit",
     "experiment_from_dict",
@@ -107,7 +96,6 @@ __all__ = [
     "render_failure_table",
     "render_invariant_report",
     "render_partial_banner",
-    "require",
     "retry_rng",
     "run_figure4_resilient",
     "run_suite_resilient",

@@ -254,8 +254,10 @@ class FaultInjector:
             profile.set_weight("__corrupt__", 10**6, 10**6 + 1, 42)
             return profile
         victim = procedures[rng.randrange(len(procedures))]
+        # Draw the inflated edge before inventing the phantom one, and
+        # never a self-loop: inflating either leaves flow conserved.
+        edges = [(src, dst) for src, dst in sorted(profile.proc_edges(victim)) if src != dst]
         profile.set_weight(victim, 10**6, 10**6 + 1, 42)
-        edges = sorted(profile.proc_edges(victim))
         if edges:
             src, dst = edges[rng.randrange(len(edges))]
             profile.set_weight(

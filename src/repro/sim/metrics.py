@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..isa.encoder import LinkedProgram
 from ..profiling.condmix import CondMixListener
@@ -36,6 +36,19 @@ from .predictors import (
 STATIC_ARCHS = ("fallthrough", "btfnt", "likely")
 DYNAMIC_ARCHS = ("pht-direct", "pht-correlation", "btb-64x2", "btb-256x4")
 ALL_ARCHS = STATIC_ARCHS + DYNAMIC_ARCHS
+
+#: Each architecture's simulator for one linked binary: BT/FNT and
+#: LIKELY read branch directions from the image, LIKELY its likely bits
+#: from the profile.
+_SIMULATORS: Dict[str, Callable[[LinkedProgram, EdgeProfile], object]] = {
+    "fallthrough": lambda linked, profile: FallthroughSim(),
+    "btfnt": lambda linked, profile: BTFNTSim(linked),
+    "likely": LikelySim,
+    "pht-direct": lambda linked, profile: DirectMappedPHT(),
+    "pht-correlation": lambda linked, profile: CorrelationPHT(),
+    "btb-64x2": lambda linked, profile: BTBSim(64, 2),
+    "btb-256x4": lambda linked, profile: BTBSim(256, 4),
+}
 
 
 @dataclass
@@ -92,19 +105,22 @@ class SimulationReport:
         return 100.0 * self.fallthrough_rate
 
 
-def default_architectures(
-    linked: LinkedProgram, profile: EdgeProfile, ras_depth: int = 32
+def make_arch_sims(
+    names: Sequence[str], linked: LinkedProgram, profile: EdgeProfile
 ) -> List[object]:
+    """Instantiate the named architecture simulators for one binary."""
+    sims: List[object] = []
+    for name in names:
+        build = _SIMULATORS.get(name)
+        if build is None:
+            raise ValueError(f"unknown architecture {name!r}")
+        sims.append(build(linked, profile))
+    return sims
+
+
+def default_architectures(linked: LinkedProgram, profile: EdgeProfile) -> List[object]:
     """The seven architectures of Tables 3 and 4, freshly initialised."""
-    return [
-        FallthroughSim(ras_depth),
-        BTFNTSim(linked, ras_depth),
-        LikelySim(linked, profile, ras_depth),
-        DirectMappedPHT(ras_depth=ras_depth),
-        CorrelationPHT(ras_depth=ras_depth),
-        BTBSim(64, 2, ras_depth),
-        BTBSim(256, 4, ras_depth),
-    ]
+    return make_arch_sims(ALL_ARCHS, linked, profile)
 
 
 def _report_from(

@@ -34,7 +34,7 @@ from typing import (
 
 from ..cfg import EdgeKind, Procedure, Program, TerminatorKind
 from ..cfg.blocks import expected_edge_kinds
-from ..isa.encoder import INSTRUCTION_BYTES, TEXT_BASE, LinkedProgram
+from ..isa.encoder import INSTRUCTION_BYTES, TEXT_BASE, LinkedProgram, link
 from ..isa.layout import ProcedureLayout, ProgramLayout
 from ..profiling.edge_profile import EdgeProfile
 from .binary.encoding import pass_binary_encoding, pass_binary_recovery
@@ -567,12 +567,75 @@ def _pass_transfer_targets(ctx: LintContext) -> List[Diagnostic]:
     return out
 
 
+def check_address_map(
+    linked: LinkedProgram, label: Optional[str] = None
+) -> List[Diagnostic]:
+    """RL006 findings for one linked image's address map.
+
+    Walking procedures in link order and blocks in layout order, every
+    procedure must start at the running cursor and every placed block
+    must have an instruction-aligned address at the cursor (no hole, no
+    overlap), the layout's placed size, and its terminator and appended
+    jump inside its own range; the map may hold no block the layout
+    never placed, and the walk must end at ``text_end``.  The
+    ``lower-addresses`` pass runs this on each layout it lowers, and the
+    runner's link-stage check on each image it links.
+    """
+    out: List[Diagnostic] = []
+
+    def finding(message: str, procedure: Optional[str] = None,
+                block: Optional[int] = None) -> None:
+        out.append(_diag("RL006", message, "lower-addresses",
+                         procedure=procedure, block=block, layout=label))
+
+    cursor = TEXT_BASE
+    for name in linked.program.order:
+        proc_layout = linked.layout.layouts.get(name)
+        if proc_layout is None:
+            continue
+        placed = linked.blocks.get(name, {})
+        start = linked.proc_start.get(name)
+        if start != cursor:
+            where = "has no start address" if start is None else f"starts at {start:#x}"
+            finding(f"procedure {where}, expected {cursor:#x}", name)
+        for placement in proc_layout.placements:
+            lb = placed.get(placement.bid)
+            if lb is None:
+                finding("placed block has no address", name, placement.bid)
+                continue
+            if lb.start % INSTRUCTION_BYTES:
+                finding(f"start {lb.start:#x} not instruction-aligned",
+                        name, placement.bid)
+            if lb.start != cursor:
+                word = "overlaps" if lb.start < cursor else "leaves a hole before"
+                finding(f"block at {lb.start:#x} {word} the expected "
+                        f"address {cursor:#x}", name, placement.bid)
+            size = proc_layout.placed_size(placement.bid)
+            if lb.size != size:
+                finding(f"linked size {lb.size} != layout size {size}",
+                        name, placement.bid)
+            for addr, role in ((lb.term_address, "terminator"),
+                               (lb.jump_address, "appended jump")):
+                if addr is not None and not lb.start <= addr < lb.end:
+                    finding(f"{role} address {addr:#x} outside the block's "
+                            f"range [{lb.start:#x}, {lb.end:#x})",
+                            name, placement.bid)
+            cursor = lb.end
+        unplaced = set(placed) - {p.bid for p in proc_layout.placements}
+        if unplaced:
+            finding(f"address map holds unplaced blocks {sorted(unplaced)}", name)
+    if cursor != linked.text_end:
+        finding(f"text segment ends at {linked.text_end:#x} but the "
+                f"address walk reached {cursor:#x}")
+    return out
+
+
 def _pass_addresses(ctx: LintContext) -> List[Diagnostic]:
     """RL006: lowered addresses tile the text segment without overlap."""
     out: List[Diagnostic] = []
     for label, layout in ctx.layouts.items():
         try:
-            linked = LinkedProgram(layout)
+            linked = link(layout)
         except Exception as exc:
             out.append(_diag(
                 "RL006",
@@ -581,55 +644,7 @@ def _pass_addresses(ctx: LintContext) -> List[Diagnostic]:
                 "lower-addresses", layout=label,
             ))
             continue
-        cursor = TEXT_BASE
-        for name in linked.program.order:
-            proc_layout = layout.layouts.get(name)
-            placed = linked.blocks.get(name, {})
-            if proc_layout is None:
-                continue
-            for placement in proc_layout.placements:
-                lb = placed.get(placement.bid)
-                if lb is None:
-                    out.append(_diag(
-                        "RL006", "placed block has no address",
-                        "lower-addresses", procedure=name,
-                        block=placement.bid, layout=label,
-                    ))
-                    continue
-                if lb.start % INSTRUCTION_BYTES:
-                    out.append(_diag(
-                        "RL006",
-                        f"start {lb.start:#x} not instruction-aligned",
-                        "lower-addresses", procedure=name,
-                        block=placement.bid, layout=label,
-                    ))
-                if lb.start != cursor:
-                    word = "overlaps" if lb.start < cursor else "leaves a hole before"
-                    out.append(_diag(
-                        "RL006",
-                        f"block at {lb.start:#x} {word} the expected "
-                        f"address {cursor:#x}",
-                        "lower-addresses", procedure=name,
-                        block=placement.bid, layout=label,
-                    ))
-                for addr, role in ((lb.term_address, "terminator"),
-                                   (lb.jump_address, "appended jump")):
-                    if addr is not None and not lb.start <= addr < lb.end:
-                        out.append(_diag(
-                            "RL006",
-                            f"{role} address {addr:#x} outside the block's "
-                            f"range [{lb.start:#x}, {lb.end:#x})",
-                            "lower-addresses", procedure=name,
-                            block=placement.bid, layout=label,
-                        ))
-                cursor = lb.end
-        if cursor != linked.text_end:
-            out.append(_diag(
-                "RL006",
-                f"text segment ends at {linked.text_end:#x} but the "
-                f"address walk reached {cursor:#x}",
-                "lower-addresses", layout=label,
-            ))
+        out.extend(check_address_map(linked, label))
     return out
 
 

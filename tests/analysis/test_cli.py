@@ -80,6 +80,41 @@ class TestDoctor:
         assert main(["doctor", "nosuch"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
+    def test_doctor_prints_the_lint_report_with_or_without_lint(self, capsys):
+        assert main(["doctor", "alvinn", "--scale", "0.02"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["doctor", "alvinn", "--scale", "0.02", "--lint"]) == 0
+        assert capsys.readouterr().out == plain
+        assert "lint:profile-flow" in plain and "lint:lower-addresses" in plain
+
+    @pytest.mark.parametrize("flags", [[], ["--lint"]])
+    def test_doctor_judges_a_foreign_profile(self, tmp_path, capsys, flags):
+        path = tmp_path / "eqntott.json"
+        assert main(["profile", "eqntott", str(path), "--scale", "0.05"]) == 0
+        capsys.readouterr()
+        code = main(["doctor", "gcc", "--scale", "0.05", "--profile", str(path), *flags])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL  lint:profile-consistency" in out and "RL008" in out
+
+    def test_profile_without_benchmark_is_usage_error(self, tmp_path, capsys):
+        assert main(["doctor", "--lint", "--profile", str(tmp_path / "p.json")]) == 2
+        assert "--profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--lint"]])
+    def test_unbuildable_layout_fails_doctor(self, monkeypatch, capsys, flags):
+        from repro.core import GreedyAligner
+
+        def refuse(self, program, profile):
+            raise RuntimeError("aligner refused")
+
+        monkeypatch.setattr(GreedyAligner, "align", refuse)
+        assert main(["doctor", "alvinn", "--scale", "0.02", *flags]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  layout-build" in out
+        assert "layout 'greedy' could not be built" in out
+        assert "aligner refused" in out
+
 
 class TestResilienceFlags:
     def test_injected_crash_gives_partial_exit(self, capsys):

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.cfg import TerminatorKind
 from repro.core import GreedyAligner
 from repro.isa import ProgramLayout
 from repro.profiling import profile_program
@@ -125,6 +126,17 @@ class TestSeededDefects:
         assert not report.ok
         assert "RL008" in report.codes()
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_corrupt_profile_breaks_flow_as_rl009(self, seed):
+        """The inflated edge is a real one, so flow conservation breaks too."""
+        for name in ("eqntott", "ora", "groff"):
+            program, profile = workload(name)
+            profile = injector(f"{name}:profile:corrupt-profile", seed).corrupt_profile(
+                name, 1, profile
+            )
+            codes = run_lint(program, profile, subject=name).codes()
+            assert {"RL008", "RL009"} <= set(codes), (name, codes)
+
     def test_defect_signatures_are_distinct(self):
         """The three seeded defect classes never share one diagnosis."""
         program, profile = workload()
@@ -149,6 +161,70 @@ class TestSeededDefects:
         assert cfg_codes and flip_codes and retarget_codes
         assert cfg_codes != flip_codes != retarget_codes
         assert cfg_codes != retarget_codes
+
+
+def _profile_findings(program, profile, code):
+    report = run_lint(program, profile, subject="eqntott")
+    return [d for d in report.findings if d.code == code]
+
+
+class TestProfilePasses:
+    """Each condition of RL008 (profile-consistency) and RL009 (profile-flow)."""
+
+    def test_rl008_flags_an_unknown_procedure(self):
+        program, profile = workload()
+        profile.set_weight("nosuch", 0, 1, 5)
+        findings = _profile_findings(program, profile, "RL008")
+        assert [d.procedure for d in findings] == ["nosuch"]
+        assert "not in the program" in findings[0].message
+
+    def test_rl008_flags_a_negative_count(self):
+        program, profile = workload()
+        name = "cmppt"
+        (src, dst), _count = sorted(profile.proc_edges(name).items())[0]
+        profile.set_weight(name, src, dst, -1)
+        findings = _profile_findings(program, profile, "RL008")
+        assert [(d.procedure, d.block) for d in findings] == [(name, src)]
+        assert "negative count" in findings[0].message
+
+    def test_rl008_flags_an_edge_the_cfg_lacks(self):
+        program, profile = workload()
+        profile.set_weight("cmppt", 10**6, 10**6 + 1, 5)
+        findings = _profile_findings(program, profile, "RL008")
+        assert [(d.procedure, d.block) for d in findings] == [("cmppt", 10**6)]
+        assert "not in the CFG" in findings[0].message
+
+    def test_rl009_flags_an_unbalanced_block(self):
+        program, profile = workload()
+        proc = program.procedure("cmppt")
+        src, dst = next(
+            (e.src, e.dst) for e in proc.edges
+            if e.src != e.dst and e.src != proc.entry
+            and proc.block(e.dst).kind is not TerminatorKind.RETURN
+        )
+        profile.set_weight(proc.name, src, dst, profile.weight(proc.name, src, dst) + 9)
+        findings = _profile_findings(program, profile, "RL009")
+        assert sorted(d.block for d in findings) == sorted((src, dst))
+        assert all("!= out-weight" in d.message for d in findings)
+        assert _profile_findings(program, profile, "RL008") == []
+
+    def test_rl009_flags_an_entry_fed_more_than_it_sends(self):
+        program, profile = workload()
+        proc = program.procedure("cmppt")
+        (src, _dst), _count = sorted(profile.proc_edges(proc.name).items())[-1]
+        profile.set_weight(proc.name, src, proc.entry, 10**6)
+        findings = _profile_findings(program, profile, "RL009")
+        entry = [d for d in findings if d.block == proc.entry]
+        assert entry and "entry in-weight" in entry[0].message
+
+    def test_rl009_flags_a_return_block_with_out_weight(self):
+        program, profile = workload()
+        proc = program.procedure("cmppt")
+        ret = next(b for b in proc.blocks if proc.block(b).kind is TerminatorKind.RETURN)
+        profile.set_weight(proc.name, ret, proc.entry, 5)
+        findings = _profile_findings(program, profile, "RL009")
+        assert [d.block for d in findings if d.block == ret] == [ret]
+        assert any("return block has out-weight" in d.message for d in findings)
 
 
 class TestPassManager:
