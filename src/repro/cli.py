@@ -447,9 +447,10 @@ def _lint_layouts(program, profile, arch: str, window: int, injector=None,
                   benchmark: str = "", attempt: int = 1):
     """Identity + aligned layouts for one lint run, layout faults applied.
 
-    Returns ``(layouts, notes)``; an aligner that refuses the (possibly
-    corrupted) input contributes a note instead of a layout, so linting
-    a broken CFG still terminates with a report.
+    Returns ``(layouts, unbuilt)``; an aligner that refuses the (possibly
+    corrupted) input leaves its label in ``unbuilt`` (label -> error)
+    instead of a layout, so linting a broken CFG still terminates with a
+    report, and the caller fails the run on the layout it could not check.
     """
     builders = [
         ("orig", lambda: ProgramLayout.identity(program)),
@@ -457,18 +458,22 @@ def _lint_layouts(program, profile, arch: str, window: int, injector=None,
         (f"try{window}-{arch}",
          lambda: TryNAligner.for_architecture(arch, window=window).align(program, profile)),
     ]
-    layouts, notes = {}, []
+    layouts, unbuilt = {}, {}
     for label, build in builders:
         try:
             layout = build()
         except Exception as exc:
-            notes.append(f"note: layout {label!r} could not be built "
-                         f"({type(exc).__name__}: {exc})")
+            unbuilt[label] = f"{type(exc).__name__}: {exc}"
             continue
         if injector is not None:
             layout = injector.mutate_layout(benchmark, attempt, label, layout, profile)
         layouts[label] = layout
-    return layouts, notes
+    return layouts, unbuilt
+
+
+def _unbuilt_lines(unbuilt: dict) -> list:
+    return [f"layout {label!r} could not be built ({error})"
+            for label, error in unbuilt.items()]
 
 
 def _static_context(program, notes: Optional[list] = None):
@@ -515,10 +520,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
         injector = FaultInjector(FaultPlan(specs=specs, seed=args.seed))
         program = injector.break_cfg(args.benchmark, 1, program, profile)
 
-    layouts, notes = _lint_layouts(
+    layouts, unbuilt = _lint_layouts(
         program, profile, args.arch, args.window,
         injector=injector, benchmark=args.benchmark,
     )
+    notes: list = []
     static = _static_context(program, notes)
     report = run_lint(
         program, profile, layouts, subject=args.benchmark, static=static
@@ -543,8 +549,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
             },
         }
 
+    ok = report.ok and not unbuilt
     if args.json:
         payload = report.to_dict()
+        if unbuilt:
+            payload["unbuilt"] = unbuilt
+            payload["summary"]["ok"] = False
         if notes:
             payload["notes"] = notes
         if estimate_block is not None:
@@ -552,6 +562,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         _write(_json.dumps(payload, indent=2), args.output)
     else:
         lines = [report.render()]
+        lines.extend(f"error: {line}" for line in _unbuilt_lines(unbuilt))
         lines.extend(notes)
         if estimate_block is not None:
             lines.append("")
@@ -563,7 +574,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
                     f"{100 * row['relative_error']:>8.2f}"
                 )
         _write("\n".join(lines), args.output)
-    return EXIT_OK if report.ok else EXIT_RUNTIME
+    return EXIT_OK if ok else EXIT_RUNTIME
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -967,8 +978,8 @@ def _doctor_lint(args: argparse.Namespace) -> int:
             profile = load_profile(args.profile)
         else:
             profile = profile_program(program, seed=args.seed)
-        layouts, notes = _lint_layouts(program, profile, args.arch, args.window)
-        unbuilt.extend(f"{name}: {note}" for note in notes)
+        layouts, refused = _lint_layouts(program, profile, args.arch, args.window)
+        unbuilt.extend(f"{name}: {line}" for line in _unbuilt_lines(refused))
         melded, meld_report = meld_program(program)
         meld = MeldContext(
             original=program, melded=melded,

@@ -2,13 +2,96 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, TypeVar, cast
 
-from ..cfg import BlockId, Procedure, Program
+from ..cfg import BlockId, EdgeKind, Procedure, Program
 from ..isa.layout import ProcedureLayout, ProgramLayout
 from ..profiling.edge_profile import EdgeProfile
 from .chains import ChainSet
 from .layout_order import order_chains
+
+T = TypeVar("T")
+
+
+@dataclass
+class _ChainBuild:
+    """One procedure's chains, jump preferences and the orders laid out."""
+
+    chains: ChainSet
+    jump_prefs: Dict[BlockId, BlockId]
+    #: chain-order strategy -> block order, filled as variants ask.
+    orders: Dict[str, List[BlockId]] = field(default_factory=dict)
+
+
+@dataclass
+class _Shared:
+    """A shared result and the references its key stands for."""
+
+    proc: Procedure
+    profile: EdgeProfile
+    value: object
+    #: Reads still expected before the entry is dropped.
+    readers: int
+
+
+class PlanShare:
+    """Per-procedure work that the aligners of one registry plan do alike.
+
+    A registry factory joins the variants it plans, naming for each the
+    *group* of variants that build identical chains and differ only
+    after chain building (chain order, refinement model).  A group's
+    chain set is built by the first member that aligns a procedure and
+    handed to the others; inputs every build reads alike (TryN's
+    cyclic-edge set and window partition) are computed once per
+    procedure for all of them.
+
+    An entry is dropped once every expected reader has had it, so nothing
+    outlives the plan and a one-variant plan keeps nothing.  Entries are
+    keyed by the procedure and profile objects and keep references to
+    them, so an id in a live key cannot be reused by another object.
+    """
+
+    def __init__(self) -> None:
+        self._members: Dict[str, int] = {}
+        self._entries: Dict[Tuple[Hashable, int, int], _Shared] = {}
+
+    def join(self, aligner: "Aligner", group: str) -> None:
+        """Add ``aligner`` to the plan; ``group`` names its chain build."""
+        aligner._share = self
+        aligner._share_group = group
+        self._members[group] = self._members.get(group, 0) + 1
+
+    def members(self, group: str) -> int:
+        """How many joined aligners build ``group``'s chains."""
+        return self._members.get(group, 0)
+
+    @property
+    def builds(self) -> int:
+        """Distinct chain builds among the joined aligners."""
+        return len(self._members)
+
+    def reuse(
+        self,
+        key: Hashable,
+        readers: int,
+        proc: Procedure,
+        profile: EdgeProfile,
+        compute: Callable[[], T],
+    ) -> T:
+        """``compute()`` for the first of ``readers`` asking, else its result."""
+        if readers < 2:
+            return compute()
+        slot = (key, id(proc), id(profile))
+        entry = self._entries.get(slot)
+        if entry is None:
+            value = compute()
+            self._entries[slot] = _Shared(proc, profile, value, readers - 1)
+            return value
+        entry.readers -= 1
+        if not entry.readers:
+            del self._entries[slot]
+        return cast(T, entry.value)
 
 
 class Aligner:
@@ -37,6 +120,9 @@ class Aligner:
     #: direction-optimistic model, refining with the true BT/FNT costs
     #: once positions are fixed.
     refine_model = None
+    #: The plan this aligner shares chain builds with (see PlanShare).
+    _share: Optional[PlanShare] = None
+    _share_group: str = ""
 
     def build_chains(
         self, proc: Procedure, profile: EdgeProfile
@@ -47,16 +133,33 @@ class Aligner:
     # ------------------------------------------------------------------
     def align_procedure(self, proc: Procedure, profile: EdgeProfile) -> ProcedureLayout:
         """Align one procedure, producing a checked layout."""
-        chains, jump_prefs = self.build_chains(proc, profile)
-        chains.check()
-        order = order_chains(chains, profile, self.chain_order)
-        layout = ProcedureLayout.from_order(proc, order, jump_preference=jump_prefs)
+        share = self._share
+        if share is None:
+            build = self._build(proc, profile)
+        else:
+            group = self._share_group
+            build = share.reuse(
+                ("chains", group), share.members(group), proc, profile,
+                lambda: self._build(proc, profile),
+            )
+        order = build.orders.get(self.chain_order)
+        if order is None:
+            order = order_chains(build.chains, profile, self.chain_order)
+            build.orders[self.chain_order] = order
+        layout = ProcedureLayout.from_order(
+            proc, order, jump_preference=build.jump_prefs
+        )
         refine_with = self.refine_model or self.model
         if refine_with is not None:
             from .refine import refine_senses
 
             layout = refine_senses(layout, refine_with, profile)
         return layout
+
+    def _build(self, proc: Procedure, profile: EdgeProfile) -> _ChainBuild:
+        chains, jump_prefs = self.build_chains(proc, profile)
+        chains.check()
+        return _ChainBuild(chains, jump_prefs)
 
     def align(self, program: Program, profile: EdgeProfile) -> ProgramLayout:
         """Align every procedure of a program (procedure order unchanged)."""
@@ -91,6 +194,10 @@ def align_program(
     return aligner.align(program, profile)
 
 
+#: The edge kinds alignment may turn into a fall-through.
+_ALIGNABLE_EDGES = (EdgeKind.FALLTHROUGH, EdgeKind.TAKEN)
+
+
 def greedy_link_pass(
     chains: ChainSet,
     proc: Procedure,
@@ -106,13 +213,9 @@ def greedy_link_pass(
     """
     for (src, dst), _w in profile.sorted_edges(proc, min_weight=min_weight):
         if chains.can_link(src, dst):
-            chains.link(src, dst)
+            chains._join(src, dst)
     # Edges that never executed are absent from the profile entirely;
     # sweep the static CFG so completely-cold regions still chain up.
     for edge in proc.edges:
-        if not proc.block(edge.src).kind.alignable:
-            continue
-        if edge.kind.value in ("fallthrough", "taken") and chains.can_link(
-            edge.src, edge.dst
-        ):
-            chains.link(edge.src, edge.dst)
+        if edge.kind in _ALIGNABLE_EDGES and chains.can_link(edge.src, edge.dst):
+            chains._join(edge.src, edge.dst)

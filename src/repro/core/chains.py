@@ -14,11 +14,18 @@ A block may also be *sealed*: the Cost and TryN algorithms seal a block
 when the cost model prefers ending it with an (possibly appended)
 unconditional jump over giving it any fall-through successor — the
 "align neither edge" transformation.
+
+Only a chain's two ends matter to feasibility: a link S -> D joins the
+chain S ends to the chain D starts, and closes a cycle exactly when
+those are one chain.  So the set keeps two endpoint maps — the head of
+the chain each tail ends, and the tail of the chain each head starts —
+and answers :meth:`ChainSet.can_link` and performs :meth:`ChainSet.link`
+in O(1).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..cfg import BlockId, Procedure
 
@@ -32,73 +39,75 @@ class ChainSet:
         self.succ: Dict[BlockId, Optional[BlockId]] = {b: None for b in proc.blocks}
         self.pred: Dict[BlockId, Optional[BlockId]] = {b: None for b in proc.blocks}
         self.sealed: Set[BlockId] = set()
-        # Union-find over chain membership, with head/tail per root.
-        self._parent: Dict[BlockId, BlockId] = {b: b for b in proc.blocks}
-        self._head: Dict[BlockId, BlockId] = {b: b for b in proc.blocks}
-        self._tail: Dict[BlockId, BlockId] = {b: b for b in proc.blocks}
-
-    # ------------------------------------------------------------------
-    def _find(self, bid: BlockId) -> BlockId:
-        root = bid
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[bid] != root:
-            self._parent[bid], bid = root, self._parent[bid]
-        return root
+        #: Blocks whose layout successor alignment may choose.
+        self._alignable: Set[BlockId] = {
+            b for b, block in proc.blocks.items() if block.kind.alignable
+        }
+        # Endpoint maps: every block starts as a one-block chain.
+        self._head_of: Dict[BlockId, BlockId] = {b: b for b in proc.blocks}
+        self._tail_of: Dict[BlockId, BlockId] = dict(self._head_of)
 
     # ------------------------------------------------------------------
     def can_link(self, src: BlockId, dst: BlockId) -> bool:
         """True if dst may become the layout fall-through of src."""
         if src == dst or dst == self.entry:
             return False
-        if src in self.sealed:
+        if src in self.sealed or src not in self._alignable:
             return False
         if self.succ[src] is not None or self.pred[dst] is not None:
             return False
-        if not self.proc.block(src).kind.alignable:
-            return False
-        return self._find(src) != self._find(dst)
+        # src ends a chain and dst starts one: the link closes a cycle
+        # exactly when they end and start the same chain.
+        return self._head_of[src] != dst
 
     def link(self, src: BlockId, dst: BlockId) -> None:
         """Make dst the layout fall-through of src (must be linkable)."""
         if not self.can_link(src, dst):
             raise ValueError(f"cannot link {src} -> {dst}")
+        self._join(src, dst)
+
+    def _join(self, src: BlockId, dst: BlockId) -> Tuple[BlockId, BlockId]:
+        """:meth:`link` for a pair the caller has just seen ``can_link``.
+
+        Returns the joined chain's (head, tail), which :meth:`_split`
+        takes to undo this link while it is the latest one standing.
+        """
         self.succ[src] = dst
         self.pred[dst] = src
-        src_root, dst_root = self._find(src), self._find(dst)
-        head = self._head[src_root]
-        tail = self._tail[dst_root]
-        self._parent[dst_root] = src_root
-        self._head[src_root] = head
-        self._tail[src_root] = tail
+        head = self._head_of.pop(src)
+        tail = self._tail_of.pop(dst)
+        self._tail_of[head] = tail
+        self._head_of[tail] = head
+        return head, tail
 
     def unlink(self, src: BlockId) -> None:
         """Undo a link (used by the TryN backtracking search).
 
-        Splits src's chain after src; both halves keep correct head/tail
-        records.  Union-find parents are rebuilt for the two fragments.
+        Splits src's chain after src; walks from src back to the chain's
+        head to find the endpoints both halves get.
         """
-        dst = self.succ[src]
-        if dst is None:
+        if self.succ[src] is None:
             raise ValueError(f"{src} has no layout successor to unlink")
+        head = self._chain_start(src)
+        self._split(src, head, self._tail_of[head])
+
+    def _split(self, src: BlockId, head: BlockId, tail: BlockId) -> None:
+        """Cut the chain ``head``..``tail`` after ``src``, in O(1)."""
+        dst = self.succ[src]
+        assert dst is not None
         self.succ[src] = None
         self.pred[dst] = None
-        # Rebuild the two fragments from scratch; fragments are short in
-        # practice, and correctness beats cleverness here.
-        for start in (self._chain_start(src), dst):
-            bid = start
-            prev: Optional[BlockId] = None
-            while bid is not None:
-                self._parent[bid] = start
-                prev = bid
-                bid = self.succ[bid]
-            self._head[start] = start
-            self._tail[start] = prev if prev is not None else start
+        self._tail_of[head] = src
+        self._head_of[src] = head
+        self._tail_of[dst] = tail
+        self._head_of[tail] = dst
 
     def _chain_start(self, bid: BlockId) -> BlockId:
-        while self.pred[bid] is not None:
-            bid = self.pred[bid]
-        return bid
+        while True:
+            prev = self.pred[bid]
+            if prev is None:
+                return bid
+            bid = prev
 
     # ------------------------------------------------------------------
     def seal(self, bid: BlockId) -> None:
@@ -130,7 +139,8 @@ class ChainSet:
     def check(self) -> None:
         """Verify internal consistency (used by property tests)."""
         seen: Set[BlockId] = set()
-        for chain in self.chains():
+        chains = self.chains()
+        for chain in chains:
             for bid in chain:
                 if bid in seen:
                     raise AssertionError(f"block {bid} appears in two chains")
@@ -139,3 +149,7 @@ class ChainSet:
             raise AssertionError("chains do not cover all blocks")
         if self.pred[self.entry] is not None:
             raise AssertionError("entry block acquired a predecessor")
+        heads = {chain[-1]: chain[0] for chain in chains}
+        tails = {chain[0]: chain[-1] for chain in chains}
+        if self._head_of != heads or self._tail_of != tails:
+            raise AssertionError("chain endpoint maps disagree with the chains")

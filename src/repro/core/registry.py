@@ -25,8 +25,11 @@ field several concrete aligner instances, each serving a subset of the
 simulated architectures: Greedy fields a highest-executed-first variant
 for every architecture except BT/FNT plus a Pettis–Hansen
 precedence-order variant for BT/FNT ("it is not known where the taken
-branch will be located", section 6); TryN fields one search per
-architecture cost model.  A requested architecture no variant serves is
+branch will be located", section 6); TryN fields one variant per
+architecture cost model.  Variants that differ only after chain building
+share one chain build per procedure (:class:`~repro.core.align.PlanShare`):
+greedy-btfnt reorders greedy's chains and the BT/FNT TryN variant
+refines the LIKELY search.  A requested architecture no variant serves is
 returned as a structured skip — a ``(architecture, reason)`` record the
 experiment surfaces instead of silently omitting the row.
 """
@@ -36,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .align import Aligner, OriginalAligner
+from .align import Aligner, OriginalAligner, PlanShare
 from .disptree import DispTreeAligner
 from .exttsp import ExtTSPAligner
 from .greedy import GreedyAligner
@@ -243,12 +246,23 @@ def _greedy_variants(request: PlanRequest) -> Sequence[AlignerVariant]:
                 "greedy-btfnt", GreedyAligner(chain_order="btfnt"), ("btfnt",)
             )
         )
+    # The two differ only in chain order: one chain build serves both.
+    share = PlanShare()
+    for variant in variants:
+        share.join(variant.aligner, "greedy")
     return variants
 
 
 def _tryn_variants(request: PlanRequest) -> Sequence[AlignerVariant]:
-    """One windowed search per architecture cost model (paper section 4)."""
+    """One windowed search per search cost model (paper section 4).
+
+    BT/FNT searches with the LIKELY model and differs from the LIKELY
+    variant only in its refinement (see ``TryNAligner.for_architecture``),
+    so the two share one search; all the searches share each
+    procedure's cyclic-edge set and window partition.
+    """
     variants: List[AlignerVariant] = []
+    share = PlanShare()
     for model, served in TRY_MODEL_ARCHS.items():
         wanted = tuple(a for a in served if a in request.archs)
         if not wanted:
@@ -256,6 +270,7 @@ def _tryn_variants(request: PlanRequest) -> Sequence[AlignerVariant]:
         aligner = TryNAligner.for_architecture(
             model, window=request.window, min_weight=request.min_weight
         )
+        share.join(aligner, aligner.model.name)
         variants.append(
             AlignerVariant(f"try{request.window}-{model}", aligner, wanted)
         )

@@ -44,7 +44,7 @@ class TryNAligner(Aligner):
         min_weight: int = 2,
         max_states: int = 100_000,
         chain_order: str = "weight",
-        refine_model: "ArchModel" = None,
+        refine_model: Optional[ArchModel] = None,
     ):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -96,26 +96,16 @@ class TryNAligner(Aligner):
     ) -> Tuple[ChainSet, Dict[BlockId, BlockId]]:
         """Window the hot edges and search each window exhaustively."""
         chains = ChainSet(proc)
-        retreating = proc.cyclic_edge_pairs()
+        share = self._share
+        if share is None:
+            retreating, windows = self._search_inputs(proc, profile)
+        else:
+            retreating, windows = share.reuse(
+                ("tryn-inputs", self.window, self.min_weight), share.builds,
+                proc, profile, lambda: self._search_inputs(proc, profile),
+            )
         jump_prefs: Dict[BlockId, BlockId] = {}
-        decided: Set[BlockId] = set()
-
-        edges = profile.sorted_edges(proc, min_weight=self.min_weight)
-        index = 0
-        while index < len(edges):
-            nodes: List[BlockId] = []
-            consumed = 0
-            while index < len(edges) and consumed < self.window:
-                (src, _dst), _w = edges[index]
-                index += 1
-                if src in decided or src in nodes:
-                    continue
-                if not proc.block(src).kind.alignable:
-                    continue
-                nodes.append(src)
-                consumed += 1
-            if not nodes:
-                continue
+        for nodes in windows:
             assignment = self._search_window(proc, nodes, profile, retreating, chains)
             for src, option in assignment:
                 if option.kind == "link":
@@ -128,10 +118,31 @@ class TryNAligner(Aligner):
                         and option.jump is not None
                     ):
                         jump_prefs[src] = option.jump
-                decided.add(src)
 
         greedy_link_pass(chains, proc, profile, min_weight=0)
         return chains, jump_prefs
+
+    def _search_inputs(
+        self, proc: Procedure, profile: EdgeProfile
+    ) -> Tuple[Set[Tuple[BlockId, BlockId]], List[List[BlockId]]]:
+        """The cyclic-edge set and the windows, alike under every model.
+
+        A window holds the next ``window`` alignable sources of the hot
+        edges (weight >= ``min_weight``, heaviest first) that no earlier
+        window holds.  The search decides every node of its window, so
+        the partition does not depend on the cost model.
+        """
+        sources: List[BlockId] = []
+        seen: Set[BlockId] = set()
+        for (src, _dst), _w in profile.sorted_edges(proc, min_weight=self.min_weight):
+            if src not in seen and proc.block(src).kind.alignable:
+                seen.add(src)
+                sources.append(src)
+        windows = [
+            sources[start:start + self.window]
+            for start in range(0, len(sources), self.window)
+        ]
+        return proc.cyclic_edge_pairs(), windows
 
     # ------------------------------------------------------------------
     def _search_window(
@@ -174,13 +185,13 @@ class TryNAligner(Aligner):
                     assert option.target is not None
                     if not chains.can_link(bid, option.target):
                         continue
-                    chains.link(bid, option.target)
+                    joined = chains._join(bid, option.target)
                     current.append(option)
                     try:
                         dfs(idx + 1, acc + option.cost)
                     finally:
                         current.pop()
-                        chains.unlink(bid)
+                        chains._split(bid, *joined)
                 else:
                     current.append(option)
                     try:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -114,6 +116,30 @@ class TestDoctor:
         assert "FAIL  layout-build" in out
         assert "layout 'greedy' could not be built" in out
         assert "aligner refused" in out
+
+
+class TestLint:
+    @pytest.fixture
+    def refusing_greedy(self, monkeypatch):
+        from repro.core import GreedyAligner
+
+        def refuse(self, program, profile):
+            raise RuntimeError("aligner refused")
+
+        monkeypatch.setattr(GreedyAligner, "align", refuse)
+
+    def test_unbuildable_layout_fails_lint(self, refusing_greedy, capsys):
+        assert main(["lint", "alvinn", "--scale", "0.02"]) == 1
+        out = capsys.readouterr().out
+        assert ("error: layout 'greedy' could not be built "
+                "(RuntimeError: aligner refused)") in out
+
+    def test_unbuildable_layout_fails_lint_json(self, refusing_greedy, capsys):
+        assert main(["lint", "alvinn", "--scale", "0.02", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["unbuilt"] == {"greedy": "RuntimeError: aligner refused"}
+        assert payload["summary"]["ok"] is False
+        assert "greedy" not in payload["layouts"]
 
 
 class TestResilienceFlags:
