@@ -259,7 +259,7 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
     """Serves the lease protocol over the supervisor's own job queue.
 
     Every queue mutation happens under ``lock`` — the same re-entrant
-    lock the supervisor's tick loop holds — so local pipe workers and
+    lock the supervisor's loop holds — so local pipe workers and
     remote socket workers interleave on one consistent state machine.
     """
 
@@ -274,7 +274,7 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
         lock: Optional[Any] = None,
         lease_duration: float = 30.0,
         faults: Optional[FaultPlan] = None,
-        on_complete: Optional[Callable[[str], None]] = None,
+        on_settle: Optional[Callable[[str, str], None]] = None,
         drain_check: Optional[Callable[[], bool]] = None,
         io_timeout: float = 30.0,
     ) -> None:
@@ -287,7 +287,9 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
         self.sessions = self.gate.sessions
         chaos = NetworkChaos.from_plan(faults)
         self.chaos: Optional[NetworkChaos] = chaos if chaos else None
-        self.on_complete = on_complete
+        #: Called under ``lock`` with ``(unit, state)`` after a commit
+        #: lands (``done``) or a fail is settled (``pending``/``failed``).
+        self.on_settle = on_settle
         self.drain_check = drain_check
         self.io_timeout = io_timeout
         #: Resumable upload buffers: (unit, digest) -> {index: chunk text}.
@@ -459,13 +461,16 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
             return reply(self._handle_commit(message, worker, epoch, now))
         if kind == "fail":
             failure = message.get("failure")
+            unit_id = str(message.get("unit"))
             with self.lock:
                 outcome, reason = self.gate.fail(
-                    worker, epoch, str(message.get("unit")),
+                    worker, epoch, unit_id,
                     int(message.get("token", -1)),
                     dict(failure) if isinstance(failure, dict) else {},
                     bool(message.get("retryable", False)), now,
                 )
+                if outcome != "rejected" and self.on_settle is not None:
+                    self.on_settle(unit_id, outcome)
             return reply({"type": "fail-ok", "state": outcome, "reason": reason})
         return reply(
             {"type": "error", "reason": "unknown-message", "got": str(kind)}
@@ -566,8 +571,8 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
             self.uploads.pop(key, None)
             self._expected_chunks.pop(key, None)
             self.remote_completed.append(unit_id)
-            if self.on_complete is not None:
-                self.on_complete(unit_id)
+            if self.on_settle is not None:
+                self.on_settle(unit_id, DONE)
             return {"type": "commit-ok", "deduped": False}
 
 

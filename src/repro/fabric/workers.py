@@ -31,6 +31,11 @@ robustness properties:
   ``drain_timeout`` seconds to finish, outstanding leases are revoked so
   the durable queue is cleanly resumable, and the pool shuts down.
 
+Between passes the loop blocks in one wait that a worker's message, a
+worker's exit, or a remote commit or fail ends at once.  The timers
+above run on the queue clock and are checked at most
+``FabricConfig.poll`` late.
+
 Workers execute :func:`repro.runner.runner.execute_unit` — exactly the
 unit body of the runner's inline path — so everything the pipeline
 already validates (invariants, lint, oracle, proofs) holds unchanged
@@ -102,7 +107,10 @@ class FabricConfig:
     faults: Optional[FaultPlan] = None
     #: Grace period for in-flight units on SIGINT/SIGTERM drain.
     drain_timeout: float = 10.0
-    #: Supervisor loop tick.
+    #: Longest wait between checks of the queue-clock timers (lease
+    #: expiry, stalls, the wall-clock budget, retry backoff, drain).
+    #: Worker messages, worker exits and remote commits wake the
+    #: supervisor at once.
     poll: float = 0.02
     #: Seed for the retry-backoff jitter.
     seed: int = 0
@@ -131,6 +139,8 @@ class FabricConfig:
             raise ValueError("poison_threshold must be >= 1")
         if self.drain_timeout < 0:
             raise ValueError("drain_timeout must be non-negative")
+        if self.poll <= 0:
+            raise ValueError("poll must be positive")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.timeout is not None and self.listen is not None:
@@ -282,6 +292,38 @@ class WorkerHandle:
     #: When the worker was handed its current unit (the budget's origin).
     started: float = 0.0
     dying_note: Optional[str] = None
+    #: The pipe reached EOF or broke: the worker gets no more units, and
+    #: the supervisor waits on its exit only, until it is reaped.
+    hung_up: bool = False
+
+
+class _Wakeup:
+    """A self-pipe the supervisor's wait selects on, set from any thread."""
+
+    def __init__(self) -> None:
+        self._read, self._write = os.pipe()
+        os.set_blocking(self._read, False)
+        os.set_blocking(self._write, False)
+
+    def fileno(self) -> int:
+        return self._read
+
+    def set(self) -> None:
+        try:
+            os.write(self._write, b"\0")
+        except BlockingIOError:
+            pass  # a full pipe already holds a pending wake-up
+
+    def clear(self) -> None:
+        try:
+            while os.read(self._read, 4096):
+                pass
+        except BlockingIOError:
+            pass
+
+    def close(self) -> None:
+        os.close(self._read)
+        os.close(self._write)
 
 
 class FabricSupervisor:
@@ -304,6 +346,9 @@ class FabricSupervisor:
         #: lock, so local and remote workers see one state machine.
         self.lock = threading.RLock()
         self.coordinator: Optional[Any] = None
+        #: Set by the coordinator's handler threads after a remote commit
+        #: or fail, so the loop wakes without waiting out ``poll``.
+        self._wakeup: Optional[_Wakeup] = None
         self.remote_summary: Optional[Dict[str, object]] = None
         #: Called with ``(host, port)`` once the socket tier is bound —
         #: loopback fleets and tests learn the ephemeral port here.
@@ -343,23 +388,37 @@ class FabricSupervisor:
 
         assert self.config.listen is not None
         host, port = parse_address(self.config.listen)
+        self._wakeup = _Wakeup()
         self.coordinator = CoordinatorServer(
             (host, port),
             self.scheduler,
             lock=self.lock,
             lease_duration=self.config.lease,
             faults=self.config.faults,
-            on_complete=self.executed.append,
+            on_settle=self._remote_settled,
             drain_check=lambda: self.draining,
         ).launch()
         if self.on_listening is not None:
             self.on_listening(self.coordinator.address)
+
+    def _remote_settled(self, unit_id: str, state: str) -> None:
+        """A remote commit or fail landed (called under the lock)."""
+        if state == DONE:
+            self.executed.append(unit_id)
+        if self._wakeup is not None:
+            self._wakeup.set()
 
     def _stop_coordinator(self) -> None:
         if self.coordinator is not None:
             self.remote_summary = self.coordinator.summary()
             self.coordinator.stop()
             self.coordinator = None
+        # Handler threads may outlive the server; they set the wake-up
+        # under the lock, so it is closed under the lock too.
+        with self.lock:
+            wakeup, self._wakeup = self._wakeup, None
+            if wakeup is not None:
+                wakeup.close()
 
     # -- loop steps ----------------------------------------------------
     def _pump(self, handle: WorkerHandle, now: float) -> None:
@@ -370,7 +429,8 @@ class FabricSupervisor:
                     return
                 message = handle.conn.recv()
             except (EOFError, OSError):
-                return  # dead worker; the reaper handles it
+                handle.hung_up = True  # dead worker; the reaper handles it
+                return
             if not isinstance(message, tuple) or not message:
                 continue
             kind = message[0]
@@ -492,7 +552,7 @@ class FabricSupervisor:
         if self.draining:
             return
         for handle in self.handles:
-            if handle.unit is not None:
+            if handle.unit is not None or handle.hung_up:
                 continue
             leased = self.queue.lease(handle.worker_id, now, self.config.lease)
             if leased is None:
@@ -520,23 +580,49 @@ class FabricSupervisor:
             try:
                 handle.conn.send(("run", task, record.unit_id, token))
             except (BrokenPipeError, OSError):
-                handle.unit = None  # dead worker; reaped next tick
+                # The unit never reached a worker: no crash to charge,
+                # and nobody to wait for until the lease expires.
+                handle.unit = None
+                handle.hung_up = True
+                self.queue.revoke(
+                    record.unit_id, now,
+                    detail=f"worker {handle.worker_id} gone before hand-off",
+                )
                 continue
             self._supervisor_faults(record, now)
 
     def _busy(self) -> List[WorkerHandle]:
         return [h for h in self.handles if h.unit is not None]
 
+    def _waitables(self) -> List[Any]:
+        """What ends the wait: a worker's message or exit, a remote commit.
+
+        A hung-up pipe stays readable, so only its worker's exit is
+        waited on, or every wait would return at once until the reap.
+        """
+        waitables: List[Any] = []
+        for handle in self.handles:
+            if not handle.hung_up:
+                waitables.append(handle.conn)
+            waitables.append(handle.process.sentinel)
+        if self._wakeup is not None:
+            waitables.append(self._wakeup)
+        return waitables
+
     # -- the loop ------------------------------------------------------
     def run(self) -> None:
+        from multiprocessing.connection import wait
+
         drain_deadline: Optional[float] = None
-        if self.config.listen is not None:
-            self._start_coordinator()
         try:
+            if self.config.listen is not None:
+                self._start_coordinator()
             while True:
-                # One tick under the shared lock: coordinator handler
-                # threads mutate the queue between ticks, never during.
+                # One pass under the shared lock: coordinator handler
+                # threads mutate the queue between passes, never during.
                 with self.lock:
+                    if self._wakeup is not None:
+                        self._wakeup.clear()
                     now = self.queue.clock()
                     self._reap(now)
                     for handle in list(self.handles):
@@ -562,7 +648,16 @@ class FabricSupervisor:
                                     detail=f"drained ({self.drain_reason})",
                                 )
                             return
-                time.sleep(self.config.poll)
+                    waitables = self._waitables()
+                # The timers above run on the queue clock: a pass comes at
+                # least every ``poll`` seconds even when nothing wakes it.
+                ready = wait(waitables, timeout=self.config.poll)
+                for handle in self.handles:
+                    if handle.process.sentinel in ready:
+                        # The worker is exiting, but liveness lags its
+                        # sentinel by a few ms: join, or the passes spin
+                        # until the reap sees it dead.
+                        handle.process.join(timeout=1.0)
         finally:
             self._stop_coordinator()
             self._shutdown()

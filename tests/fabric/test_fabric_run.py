@@ -165,6 +165,11 @@ class TestWallClockBudget:
         with pytest.raises(ValueError):
             FabricConfig(**kwargs)
 
+    @pytest.mark.parametrize("poll", [0.0, -1.0])
+    def test_non_positive_poll_is_rejected(self, poll):
+        with pytest.raises(ValueError, match="poll must be positive"):
+            FabricConfig(poll=poll)
+
 
 def _children(pid: int) -> list:
     """Pids whose parent is ``pid`` (from /proc)."""
