@@ -10,7 +10,7 @@ of EXPERIMENTS.md, regenerable at any workload scale via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..runner.faults import NETWORK_FAULT_KINDS
 from ..sim.metrics import STATIC_ARCHS
@@ -18,6 +18,9 @@ from ..workloads import CATEGORIES, FIGURE4_PROGRAMS
 from .experiment import BenchmarkExperiment, run_suite_experiment
 from .figure4 import run_figure4
 from .reporting import format_table
+
+if TYPE_CHECKING:  # pragma: no cover - staticstudy imports this module
+    from .staticstudy import StaticStudy
 
 #: Benchmarks exercised by the default verification run — a spread of
 #: categories chosen so every claim's precondition is represented.
@@ -83,9 +86,9 @@ class _Context:
     #: Per-benchmark melding evidence (claim 18); see
     #: :func:`_meld_evidence` for the keys.
     meld_checks: Dict[str, dict] = field(default_factory=dict)
-    #: Profile-free alignment evidence (claim 20); see
-    #: :func:`_static_profile_evidence` for the keys.
-    static_check: Dict[str, object] = field(default_factory=dict)
+    #: Profile-free alignment evidence (claim 20): the suite experiments
+    #: paired with a static-profile run (:func:`_static_profile_study`).
+    static_study: Optional["StaticStudy"] = None
 
     def avg(self, aligner: str, arch: str) -> float:
         cells = [e.cell(aligner, arch).relative_cpi for e in self.experiments]
@@ -600,23 +603,28 @@ def _check_static_recovery(ctx: _Context) -> ClaimResult:
         "regresses below the original layout on any benchmark x "
         "architecture"
     )
-    sc = ctx.static_check
-    if not sc:
+    study = ctx.static_study
+    if study is None:
         return ClaimResult(claim_id, quote, False, "no static-profile evidence")
-    recovery = dict(sc.get("recovery", {}))  # type: ignore[arg-type]
-    average = sc.get("average")
-    target = float(sc.get("target", 0.70))  # type: ignore[arg-type]
-    regressions = list(sc.get("regressions", []))  # type: ignore[arg-type]
-    cells = int(sc.get("cells", 0))  # type: ignore[arg-type]
+    from .staticstudy import RECOVERY_TARGET
+
+    recovery = {arch: study.recovery(arch) for arch in study.archs}
+    average = study.average_recovery()
+    regressions = study.regressions()
+    cells = sum(
+        study.cells(benchmark, arch) is not None
+        for benchmark in study.benchmarks
+        for arch in study.archs
+    )
     unrecovered = sorted(a for a, r in recovery.items() if r is None)
     ok = (
         cells > 0
         and not unrecovered
-        and isinstance(average, float)
-        and average >= target
+        and average is not None
+        and average >= RECOVERY_TARGET
         and not regressions
     )
-    if not recovery or cells == 0:
+    if cells == 0:
         detail = "no benchmark x architecture cells collected"
     elif unrecovered:
         detail = (
@@ -625,19 +633,19 @@ def _check_static_recovery(ctx: _Context) -> ClaimResult:
             + " — recovery undefined there"
         )
     elif regressions:
-        worst = regressions[0]
+        benchmark, arch, delta = regressions[0]
         detail = (
             f"{len(regressions)} cell(s) regress below the original "
-            f"layout; worst {worst['benchmark']}/{worst['arch']} by "
-            f"{worst['delta']:+.5f}"
+            f"layout; worst {benchmark}/{arch} by {delta:+.5f}"
         )
     else:
         per_arch = ", ".join(
             f"{a}: {recovery[a]:+.2f}" for a in recovery
         )
         detail = (
-            f"recovery {per_arch}; average {average:+.3f} >= {target:+.2f} "
-            f"with 0/{cells} cells regressing below the original layout"
+            f"recovery {per_arch}; average {average:+.3f} >= "
+            f"{RECOVERY_TARGET:+.2f} with 0/{cells} cells regressing below "
+            f"the original layout"
         )
     return ClaimResult(claim_id, quote, ok, detail)
 
@@ -705,7 +713,7 @@ def verify_claims(
         for name in MELD_BENCHMARKS
         if name in benchmarks
     }
-    static_check = _static_profile_evidence(
+    static_study = _static_profile_study(
         experiments, benchmarks, scale=scale, seed=seed, window=window
     )
     ctx = _Context(
@@ -718,18 +726,18 @@ def verify_claims(
         fabric_check=fabric_check,
         remote_check=remote_check,
         meld_checks=meld_checks,
-        static_check=static_check,
+        static_study=static_study,
     )
     return [check(ctx) for check in CHECKS]
 
 
-def _static_profile_evidence(
+def _static_profile_study(
     experiments: List[BenchmarkExperiment],
     benchmarks: Sequence[str],
     scale: float,
     seed: int,
     window: int,
-) -> Dict[str, object]:
+) -> "StaticStudy":
     """Run the claim-20 experiment: align on the profile-free profile.
 
     One extra suite run with ``profile_source="static"`` over the
@@ -740,50 +748,28 @@ def _static_profile_evidence(
     non-monotone there, so recovery against it is meaningless (see
     ``results/static_profile.md``).
     """
-    from .staticstudy import RECOVERY_ARCHS, RECOVERY_TARGET
+    from .staticstudy import RECOVERY_ARCHS, StaticStudy
+    from .tournament import Tournament
 
     aligner = "try15"
+    algorithms = ("orig", aligner)
     static_runs = run_suite_experiment(
         list(benchmarks), scale=scale, seed=seed, window=window,
-        archs=RECOVERY_ARCHS, algorithms=("orig", aligner),
-        profile_source="static",
+        archs=RECOVERY_ARCHS, algorithms=algorithms, profile_source="static",
     )
-    static_by_name = {e.name: e for e in static_runs}
-    measured_by_name = {e.name: e for e in experiments}
-    recovery: Dict[str, Optional[float]] = {}
-    regressions: List[Dict[str, object]] = []
-    cells = 0
-    for arch in RECOVERY_ARCHS:
-        meas_win = stat_win = 0.0
-        for name in benchmarks:
-            meas = measured_by_name.get(name)
-            stat = static_by_name.get(name)
-            if meas is None or stat is None:
-                continue
-            orig = meas.cell("orig", arch).relative_cpi
-            aligned = meas.cell(aligner, arch).relative_cpi
-            synthetic = stat.cell(aligner, arch).relative_cpi
-            cells += 1
-            meas_win += orig - aligned
-            stat_win += orig - synthetic
-            if synthetic > orig + 1e-9:
-                regressions.append(
-                    {"benchmark": name, "arch": arch, "delta": synthetic - orig}
-                )
-        recovery[arch] = (
-            stat_win / meas_win if abs(meas_win) > 1e-12 else None
+
+    def arena(runs: List[BenchmarkExperiment], source: str) -> Tournament:
+        return Tournament(
+            benchmarks=tuple(benchmarks), archs=RECOVERY_ARCHS,
+            algorithms=algorithms, scale=scale, seed=seed, window=window,
+            experiments=runs, profile_source=source,
         )
-    defined = [r for r in recovery.values() if r is not None]
-    average = sum(defined) / len(defined) if defined else None
-    regressions.sort(key=lambda r: -float(r["delta"]))  # type: ignore[arg-type]
-    return {
-        "recovery": recovery,
-        "average": average,
-        "target": RECOVERY_TARGET,
-        "regressions": regressions,
-        "cells": cells,
-        "archs": list(RECOVERY_ARCHS),
-    }
+
+    return StaticStudy(
+        measured=arena(list(experiments), "measured"),
+        static=arena(static_runs, "static"),
+        algorithm=aligner,
+    )
 
 
 def _fabric_evidence(scale: float, seed: int, window: int) -> Dict[str, object]:

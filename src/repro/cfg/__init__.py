@@ -21,7 +21,7 @@ from .blocks import (
 )
 from .builder import ProcedureBuilder, ProgramBuilder
 from .dot import procedure_to_dot
-from .procedure import CFGError, Procedure
+from .procedure import CFGError, Finding, Procedure, cite_finding, procedure_findings
 from .program import Program
 
 __all__ = [
@@ -32,11 +32,13 @@ __all__ = [
     "Edge",
     "NaturalLoop",
     "EdgeKind",
+    "Finding",
     "Procedure",
     "ProcedureBuilder",
     "Program",
     "ProgramBuilder",
     "TerminatorKind",
+    "cite_finding",
     "dominates",
     "exit_blocks",
     "immediate_dominators",
@@ -44,6 +46,7 @@ __all__ = [
     "loop_depths",
     "natural_loops",
     "postdominates",
+    "procedure_findings",
     "procedure_to_dot",
     "reverse_postorder",
 ]

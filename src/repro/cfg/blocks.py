@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Type alias for basic-block identifiers (stable across re-layout).
 BlockId = int
@@ -162,32 +162,18 @@ class BasicBlock:
         """Number of non-terminator instructions in the block."""
         return self.size - (1 if self.kind.has_branch_instruction else 0)
 
-    def successors_for_kind(self, edges: List[Edge]) -> Tuple[Edge, ...]:
-        """Return this block's out-edges, validated against its kind."""
-        mine = tuple(e for e in edges if e.src == self.bid)
-        return mine
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         name = self.label or f"B{self.bid}"
         return f"{name}({self.size},{self.kind.value})"
 
 
-def expected_edge_kinds(kind: TerminatorKind) -> Tuple[Tuple[EdgeKind, ...], ...]:
-    """The legal multisets of out-edge kinds for each terminator kind.
-
-    Returns a tuple of allowed sorted edge-kind tuples.  Indirect blocks may
-    have any positive number of :data:`EdgeKind.INDIRECT` edges, which is
-    signalled by a single-element tuple ``(EdgeKind.INDIRECT,)`` meaning
-    "one or more".
-    """
-    if kind is TerminatorKind.FALLTHROUGH:
-        return ((EdgeKind.FALLTHROUGH,),)
-    if kind is TerminatorKind.COND:
-        return ((EdgeKind.FALLTHROUGH, EdgeKind.TAKEN),)
-    if kind is TerminatorKind.UNCOND:
-        return ((EdgeKind.TAKEN,),)
-    if kind is TerminatorKind.INDIRECT:
-        return ((EdgeKind.INDIRECT,),)
-    if kind is TerminatorKind.RETURN:
-        return ((),)
-    raise AssertionError(f"unhandled terminator kind {kind}")
+#: The out-edge kinds of each terminator kind, sorted by value.  A block
+#: has exactly these, except that an indirect jump has one or more
+#: INDIRECT edges.
+OUT_EDGE_KINDS: Dict[TerminatorKind, Tuple[EdgeKind, ...]] = {
+    TerminatorKind.FALLTHROUGH: (EdgeKind.FALLTHROUGH,),
+    TerminatorKind.COND: (EdgeKind.FALLTHROUGH, EdgeKind.TAKEN),
+    TerminatorKind.UNCOND: (EdgeKind.TAKEN,),
+    TerminatorKind.INDIRECT: (EdgeKind.INDIRECT,),
+    TerminatorKind.RETURN: (),
+}

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .blocks import BasicBlock, BlockId, Edge, EdgeKind, TerminatorKind
+from .blocks import OUT_EDGE_KINDS, BasicBlock, BlockId, Edge, EdgeKind, TerminatorKind
+
+#: One coded finding of an invariant check: ``(code, block, message)``.
+#: The code is a ``repro lint`` RL code; the block is ``None`` when the
+#: finding concerns the whole procedure.
+Finding = Tuple[str, Optional[BlockId], str]
 
 
 class CFGError(ValueError):
     """Raised when a procedure's control-flow graph is malformed."""
+
+
+def cite_finding(procedure: str, finding: Finding) -> str:
+    """``RLxxx proc:block: message``, the form errors and stage checks cite."""
+    code, block, message = finding
+    where = procedure if block is None else f"{procedure}:{block}"
+    return f"{code} {where}: {message}"
 
 
 class Procedure:
@@ -25,22 +38,14 @@ class Procedure:
         self._order: List[BlockId] = []
         self.blocks: Dict[BlockId, BasicBlock] = {}
         for block in blocks:
-            if block.bid in self.blocks:
-                raise CFGError(f"{name}: duplicate block id {block.bid}")
-            self.blocks[block.bid] = block
+            self.blocks.setdefault(block.bid, block)
             self._order.append(block.bid)
-        if not self._order:
-            raise CFGError(f"{name}: procedure has no blocks")
         self.edges: List[Edge] = list(edges)
         self._out: Dict[BlockId, List[Edge]] = {bid: [] for bid in self.blocks}
         self._in: Dict[BlockId, List[Edge]] = {bid: [] for bid in self.blocks}
         for edge in self.edges:
-            if edge.src not in self.blocks:
-                raise CFGError(f"{name}: edge {edge} has unknown source")
-            if edge.dst not in self.blocks:
-                raise CFGError(f"{name}: edge {edge} has unknown destination")
-            self._out[edge.src].append(edge)
-            self._in[edge.dst].append(edge)
+            self._out.setdefault(edge.src, []).append(edge)
+            self._in.setdefault(edge.dst, []).append(edge)
         self.validate()
 
     # ------------------------------------------------------------------
@@ -100,58 +105,10 @@ class Procedure:
     def __contains__(self, bid: BlockId) -> bool:
         return bid in self.blocks
 
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check structural invariants; raise :class:`CFGError` on failure."""
-        for bid, block in self.blocks.items():
-            out = self._out[bid]
-            kinds = tuple(sorted((e.kind for e in out), key=lambda k: k.value))
-            kind = block.kind
-            if kind is TerminatorKind.FALLTHROUGH:
-                ok = kinds == (EdgeKind.FALLTHROUGH,)
-            elif kind is TerminatorKind.COND:
-                ok = kinds == (EdgeKind.FALLTHROUGH, EdgeKind.TAKEN)
-            elif kind is TerminatorKind.UNCOND:
-                ok = kinds == (EdgeKind.TAKEN,)
-            elif kind is TerminatorKind.INDIRECT:
-                ok = len(out) >= 1 and all(e.kind is EdgeKind.INDIRECT for e in out)
-            elif kind is TerminatorKind.RETURN:
-                ok = not out
-            else:  # pragma: no cover - exhaustive enum
-                raise AssertionError(kind)
-            if not ok:
-                raise CFGError(
-                    f"{self.name}: block {bid} ({kind.value}) has illegal "
-                    f"out-edges {[str(e) for e in out]}"
-                )
-            ft = self.fallthrough_edge(bid)
-            if ft is not None and ft.dst == bid:
-                raise CFGError(
-                    f"{self.name}: block {bid} falls through to itself"
-                )
-            if kind is TerminatorKind.COND:
-                taken = self.taken_edge(bid)
-                assert taken is not None and ft is not None
-                if taken.dst == ft.dst:
-                    raise CFGError(
-                        f"{self.name}: block {bid} conditional branch has "
-                        f"identical taken and fall-through targets"
-                    )
-        self._validate_original_fallthroughs()
-
-    def _validate_original_fallthroughs(self) -> None:
-        """In the original layout each fall-through edge must be adjacent."""
-        position = {bid: i for i, bid in enumerate(self._order)}
-        for edge in self.edges:
-            if edge.kind is not EdgeKind.FALLTHROUGH:
-                continue
-            if position[edge.dst] != position[edge.src] + 1:
-                raise CFGError(
-                    f"{self.name}: fall-through edge {edge} is not adjacent "
-                    f"in the original layout"
-                )
+        """Raise :class:`CFGError` on the first :func:`procedure_findings`."""
+        for finding in procedure_findings(self):
+            raise CFGError(cite_finding(self.name, finding))
 
     # ------------------------------------------------------------------
     # Analyses used by the alignment cost models
@@ -284,3 +241,79 @@ class Procedure:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Procedure({self.name!r}, {len(self)} blocks, {len(self.edges)} edges)"
+
+
+_BY_VALUE = attrgetter("value")
+
+
+def procedure_findings(proc: Procedure) -> Iterator[Finding]:
+    """Every way ``proc`` breaks CFG well-formedness, as coded findings.
+
+    * RL001: each block id is ordered once and tabled under its own id;
+    * RL002: the procedure has an entry block;
+    * RL003: each block's out-edge kinds are its terminator's
+      (:data:`~repro.cfg.blocks.OUT_EDGE_KINDS`), a conditional's two
+      targets differ, no block falls through to itself, and every
+      fall-through edge joins neighbours of the original order;
+    * RL004: every edge endpoint is a block.
+
+    Reads ``blocks``, ``edges``, ``original_order`` and the out-edge
+    index, and never assumes a finding absent, so it also judges a
+    procedure assembled behind the constructor's back.  Construction
+    raises on the first finding; ``repro lint``'s CFG passes render
+    them all.
+    """
+    blocks = proc.blocks
+    order = proc.original_order
+    position: Dict[BlockId, int] = {}
+    for index, bid in enumerate(order):
+        position.setdefault(bid, index)
+    if len(position) != len(order) or position.keys() != blocks.keys():
+        for bid in sorted(position):
+            count = order.count(bid)
+            if count > 1:
+                yield "RL001", bid, f"block {bid} appears {count} times in the layout order"
+            if bid not in blocks:
+                yield "RL001", bid, f"ordered block {bid} missing from the block table"
+        for bid in sorted(blocks.keys() - position.keys()):
+            yield "RL001", bid, f"block {bid} present in the block table but never ordered"
+    for bid, block in blocks.items():
+        if block.bid != bid:
+            yield "RL001", bid, f"block table maps id {bid} to a block labelled {block.bid}"
+
+    if not order:
+        yield "RL002", None, "procedure has no blocks"
+    elif order[0] not in blocks:
+        yield "RL002", order[0], f"entry block {order[0]} missing from the block table"
+
+    for bid, block in blocks.items():
+        out = proc.out_edges(bid)
+        kinds = tuple(sorted((edge.kind for edge in out), key=_BY_VALUE))
+        expected = OUT_EDGE_KINDS[block.kind]
+        if block.kind is TerminatorKind.INDIRECT:
+            expected *= len(kinds) or 1  # one or more
+        if kinds != expected:
+            yield "RL003", bid, (
+                f"{block.kind.value} block has out-edge kinds "
+                f"[{', '.join(kind.value for kind in kinds)}]"
+            )
+            continue
+        if block.kind is TerminatorKind.COND and out[0].dst == out[1].dst:
+            yield "RL003", bid, "conditional branch has identical taken and fall-through targets"
+        here = position.get(bid)
+        for edge in out:
+            if edge.kind is not EdgeKind.FALLTHROUGH:
+                continue
+            if edge.dst == bid:
+                yield "RL003", bid, "block falls through to itself"
+            elif here is not None and edge.dst in blocks and position.get(edge.dst) != here + 1:
+                yield "RL003", bid, (
+                    f"fall-through edge {edge.src}->{edge.dst} is not adjacent "
+                    f"in the original layout"
+                )
+
+    for edge in proc.edges:
+        if edge.src not in blocks:
+            yield "RL004", edge.src, f"edge {edge.src}->{edge.dst} has unknown source block"
+        if edge.dst not in blocks:
+            yield "RL004", edge.src, f"edge {edge.src}->{edge.dst} targets unknown block {edge.dst}"

@@ -147,6 +147,20 @@ def _benchmark_list(value: Optional[str]) -> Optional[List[str]]:
     return names
 
 
+def _arch_list(value: Optional[str]) -> Optional[Tuple[str, ...]]:
+    """Parse ``--archs a,b,c`` against the architecture table."""
+    if not value:
+        return None
+    archs = tuple(arch.strip() for arch in value.split(",") if arch.strip())
+    unknown = [arch for arch in archs if arch not in ALL_ARCHS]
+    if unknown or not archs:
+        raise UsageError(
+            f"unknown architectures: {', '.join(unknown) or repr(value)}; "
+            f"known: {', '.join(ALL_ARCHS)}"
+        )
+    return archs
+
+
 def _runner_config(
     args: argparse.Namespace,
 ) -> Tuple[RunnerConfig, Optional["FabricConfig"]]:
@@ -1139,8 +1153,8 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 
 
 def cmd_breakdown(args: argparse.Namespace) -> int:
+    archs = _arch_list(args.archs) or ALL_ARCHS
     program = _workload(args)
-    archs = tuple(a.strip() for a in args.archs.split(",")) if args.archs else ALL_ARCHS
     rows = penalty_breakdown(program, archs=archs, seed=args.seed)
     _write(render_breakdown(rows), args.output)
     return 0
@@ -1209,13 +1223,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not seeds:
         raise UsageError("--seeds needs at least one seed")
     args.seeds_list = seeds
-    if args.archs:
-        archs = tuple(a.strip() for a in args.archs.split(",") if a.strip())
-        unknown = [a for a in archs if a not in ALL_ARCHS]
-        if unknown:
-            raise UsageError(f"unknown architectures: {', '.join(unknown)}")
-    else:
-        archs = ALL_ARCHS
+    archs = _arch_list(args.archs) or ALL_ARCHS
     if args.retries < 1:
         raise UsageError("--retries must be >= 1")
     if args.resume and not args.queue:
@@ -1422,13 +1430,8 @@ def cmd_tournament(args: argparse.Namespace) -> int:
 
     names = _benchmark_list(args.benchmarks)
     algorithms = _algorithm_list(args.algorithms)
-    if args.archs:
-        archs = tuple(a.strip() for a in args.archs.split(",") if a.strip())
-        unknown = [a for a in archs if a not in ALL_ARCHS]
-        if unknown:
-            raise UsageError(f"unknown architectures: {', '.join(unknown)}")
-    else:
-        archs = ALL_ARCHS
+    chosen = _arch_list(args.archs)
+    archs = chosen or ALL_ARCHS
     if args.profile_source == "static":
         # The static arena is a *study*: the same benchmarks run twice,
         # aligned on the measured profile and on the profile-free
@@ -1449,7 +1452,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         study = run_static_study(
             benchmarks=names, scale=args.scale, seed=args.seed,
             window=args.window,
-            archs=archs if args.archs else STATIC_STUDY_ARCHS,
+            archs=chosen or STATIC_STUDY_ARCHS,
             algorithm=algorithms[0] if algorithms else "try15",
         )
         if args.json:

@@ -684,7 +684,8 @@ class RemoteWorker:
                 delay = policy.delay(attempt, rng)
                 if not policy.within_budget(slept, delay):
                     break
-                time.sleep(delay)
+                if self._stop.wait(delay):
+                    break  # stop() ends the reconnect loop too
                 slept += delay
         raise _ConnectionLost(
             f"{self.config.name}: coordinator {self.host}:{self.port} "
@@ -804,6 +805,8 @@ class RemoteWorker:
 
     # -- the worker loop -----------------------------------------------
     def stop(self) -> None:
+        """Leave between units, or between reconnect attempts (reason
+        ``stopped``, or ``disconnected`` when no coordinator answered)."""
         self._stop.set()
 
     def run(self) -> Dict[str, object]:
@@ -811,7 +814,7 @@ class RemoteWorker:
         completed: List[str] = []
         failed: List[str] = []
         stale = 0
-        reason = "drained"
+        reason = "stopped"  # unless the loop ends another way
         beat = threading.Thread(
             target=self._beat_loop,
             name=f"{self.config.name}-heartbeat",
@@ -834,7 +837,7 @@ class RemoteWorker:
                     reason = "drained"
                     break
                 if kind == "idle":
-                    time.sleep(float(granted.get("retry_after", 0.1)))
+                    self._stop.wait(float(granted.get("retry_after", 0.1)))
                     continue
                 if kind != "grant":
                     continue  # stale-epoch denial heals on the next call
@@ -889,7 +892,7 @@ class RemoteWorker:
         finally:
             self._stop.set()
             transport = self._transport
-            if transport is not None and reason in ("drained", "max-units"):
+            if transport is not None and reason in ("drained", "max-units", "stopped"):
                 try:
                     self._rpc(transport, {"type": "bye"})
                 except TransportError:

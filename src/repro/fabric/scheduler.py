@@ -510,8 +510,15 @@ class JobQueue:
         self.persist(record)
         return FAILED
 
-    def revoke(self, unit_id: str, now: float, detail: str = "") -> bool:
-        """Take a leased unit back to pending (lease expiry / drain)."""
+    def revoke(
+        self, unit_id: str, now: float, detail: str = "", refund: bool = False
+    ) -> bool:
+        """Take a leased unit back to pending (lease expiry / drain).
+
+        ``refund`` says the lease never reached a worker (a failed
+        hand-off): the attempt it was charged is given back, so the next
+        lease runs as the same attempt.
+        """
         record = self.records.get(unit_id)
         if record is None or record.state != LEASED:
             return False
@@ -519,6 +526,8 @@ class JobQueue:
         record.state = PENDING
         record.lease = None
         self._event(record, "expire", now, worker=worker, detail=detail)
+        if refund:
+            record.attempts -= 1
         self.persist(record)
         return True
 

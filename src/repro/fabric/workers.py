@@ -580,13 +580,14 @@ class FabricSupervisor:
             try:
                 handle.conn.send(("run", task, record.unit_id, token))
             except (BrokenPipeError, OSError):
-                # The unit never reached a worker: no crash to charge,
-                # and nobody to wait for until the lease expires.
+                # The unit never reached a worker: no crash or attempt
+                # to charge, and nobody to wait for until the lease expires.
                 handle.unit = None
                 handle.hung_up = True
                 self.queue.revoke(
                     record.unit_id, now,
                     detail=f"worker {handle.worker_id} gone before hand-off",
+                    refund=True,
                 )
                 continue
             self._supervisor_faults(record, now)

@@ -8,6 +8,7 @@ from .layout import (
     LayoutError,
     ProcedureLayout,
     ProgramLayout,
+    layout_findings,
     layout_key,
     layout_twins,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "TEXT_BASE",
     "diff_layouts",
     "diff_procedure_layouts",
+    "layout_findings",
     "layout_from_dict",
     "layout_key",
     "layout_to_dict",

@@ -31,7 +31,14 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..cfg import BlockId, Procedure, Program, TerminatorKind
+from ..cfg import BlockId, EdgeKind, Finding, Procedure, Program, TerminatorKind, cite_finding
+
+#: Enum members bound once: :func:`layout_findings` runs on every layout
+#: construction, and looking members up on their class doubles its time.
+_FALLTHROUGH, _COND, _UNCOND = (
+    TerminatorKind.FALLTHROUGH, TerminatorKind.COND, TerminatorKind.UNCOND
+)
+_FALL_EDGE, _TAKEN_EDGE = EdgeKind.FALLTHROUGH, EdgeKind.TAKEN
 
 
 class LayoutError(ValueError):
@@ -152,98 +159,9 @@ class ProcedureLayout:
     # Validation
     # ------------------------------------------------------------------
     def check(self) -> None:
-        """Verify the layout preserves the procedure's control flow."""
-        proc = self.procedure
-        ids = [p.bid for p in self.placements]
-        if sorted(ids) != sorted(proc.blocks):
-            missing = sorted(set(proc.blocks) - set(ids))
-            extra = sorted(set(ids) - set(proc.blocks))
-            duplicated = sorted({bid for bid in ids if ids.count(bid) > 1})
-            problems = []
-            if missing:
-                problems.append(f"missing blocks {missing}")
-            if extra:
-                problems.append(f"unknown blocks {extra}")
-            if duplicated:
-                problems.append(f"duplicated blocks {duplicated}")
-            raise LayoutError(
-                f"{proc.name}: layout is not a permutation of the blocks "
-                f"({'; '.join(problems) or 'count mismatch'})"
-            )
-        if ids[0] != proc.entry:
-            raise LayoutError(
-                f"{proc.name}: entry block {proc.entry} must be placed "
-                f"first, but block {ids[0]} is"
-            )
-        for idx, placement in enumerate(self.placements):
-            block = proc.block(placement.bid)
-            nxt = ids[idx + 1] if idx + 1 < len(ids) else None
-            kind = block.kind
-            if kind is TerminatorKind.FALLTHROUGH:
-                succ = proc.fallthrough_edge(block.bid).dst  # type: ignore[union-attr]
-                reached = placement.jump_target if placement.jump_target is not None else nxt
-                if placement.taken_target is not None or placement.branch_removed:
-                    raise LayoutError(
-                        f"{proc.name}: bad placement for block {block.bid}: "
-                        f"a fall-through block cannot carry a taken target "
-                        f"or have its branch removed"
-                    )
-                if reached != succ:
-                    raise LayoutError(
-                        f"{proc.name}: block {block.bid} no longer reaches "
-                        f"its successor {succ}"
-                    )
-            elif kind is TerminatorKind.UNCOND:
-                target = proc.taken_edge(block.bid).dst  # type: ignore[union-attr]
-                if placement.jump_target is not None:
-                    raise LayoutError(
-                        f"{proc.name}: bad placement for block {block.bid}: "
-                        f"an unconditional-branch block cannot take an "
-                        f"appended jump (to {placement.jump_target})"
-                    )
-                if placement.branch_removed:
-                    if nxt != target:
-                        raise LayoutError(
-                            f"{proc.name}: block {block.bid} branch removed but "
-                            f"target {target} not adjacent"
-                        )
-                elif placement.taken_target != target:
-                    raise LayoutError(
-                        f"{proc.name}: block {block.bid} branch retargeted"
-                    )
-            elif kind is TerminatorKind.COND:
-                taken = proc.taken_edge(block.bid).dst  # type: ignore[union-attr]
-                fall = proc.fallthrough_edge(block.bid).dst  # type: ignore[union-attr]
-                if placement.branch_removed or placement.taken_target is None:
-                    what = (
-                        "its branch removed"
-                        if placement.branch_removed
-                        else "no taken target"
-                    )
-                    raise LayoutError(
-                        f"{proc.name}: bad placement for block {block.bid}: "
-                        f"a conditional block cannot have {what}"
-                    )
-                if placement.taken_target not in (taken, fall):
-                    raise LayoutError(
-                        f"{proc.name}: block {block.bid} branch retargeted"
-                    )
-                other = fall if placement.taken_target == taken else taken
-                reached = placement.jump_target if placement.jump_target is not None else nxt
-                if reached != other:
-                    raise LayoutError(
-                        f"{proc.name}: block {block.bid} lost successor {other}"
-                    )
-            else:  # INDIRECT, RETURN
-                if (
-                    placement.taken_target is not None
-                    or placement.jump_target is not None
-                    or placement.branch_removed
-                ):
-                    raise LayoutError(
-                        f"{proc.name}: bad placement for block {block.bid}: "
-                        f"{kind.value} blocks are never rewritten by layout"
-                    )
+        """Raise :class:`LayoutError` on the first :func:`layout_findings`."""
+        for finding in layout_findings(self):
+            raise LayoutError(cite_finding(self.procedure.name, finding))
 
     # ------------------------------------------------------------------
     # Derived properties
@@ -286,6 +204,136 @@ class ProcedureLayout:
     def removed_branches(self) -> List[BlockId]:
         """Unconditional-branch blocks whose branch was deleted."""
         return [p.bid for p in self.placements if p.branch_removed]
+
+
+def _cannot(bid: BlockId, kind: TerminatorKind, what: str) -> Finding:
+    return "RL012", bid, f"{kind.value} block cannot {what}"
+
+
+def _falls_off(bid: BlockId, successor: BlockId, nxt: Optional[BlockId]) -> Finding:
+    return "RL005", bid, f"fall-through successor {successor} is not the next placed block ({nxt})"
+
+
+def _mistarget(
+    bid: BlockId,
+    role: str,
+    target: Optional[BlockId],
+    allowed: Sequence[BlockId],
+    blocks: Mapping[BlockId, object],
+) -> Finding:
+    """The finding for a transfer of ``bid`` that misses ``allowed``."""
+    if target not in blocks:
+        return "RL004", bid, f"{role} targets unknown block {target}"
+    return "RL012", bid, f"{role} retargeted at block {target}; CFG allows {sorted(set(allowed))}"
+
+
+def layout_findings(layout: ProcedureLayout) -> Iterator[Finding]:
+    """Every way ``layout`` fails to preserve its procedure's control flow.
+
+    * RL011/RL002: the placements are a permutation of the blocks, the
+      entry first;
+    * RL005: a successor reached by falling through is placed next;
+    * RL010: a conditional's branch and continuation (its appended jump,
+      else the next block) reach its two successors;
+    * RL012/RL004: each kept branch and appended jump targets the CFG
+      successor it stands for (RL004 when the target, ``None`` included,
+      is no block), and no placement sets a field its block's kind
+      cannot carry (RL012): a taken target on a fall-through, indirect
+      or return block, an appended jump on an unconditional, indirect or
+      return block, a removed branch on any block but an unconditional.
+
+    Successors come from the procedure's out-edges; a block whose edges
+    are missing is left to :func:`~repro.cfg.procedure_findings`, so a
+    layout or procedure assembled behind the constructors' backs is
+    judged, not crashed on.  Construction raises on the first finding;
+    ``repro lint``'s layout passes render them all.
+    """
+    proc = layout.procedure
+    blocks = proc.blocks
+    placements = layout.placements
+    ids = [placement.bid for placement in placements]
+    placed = set(ids)
+    if len(ids) != len(blocks) or placed != blocks.keys():
+        parts = []
+        for words, bids in (
+            ("missing", blocks.keys() - placed),
+            ("unknown", placed - blocks.keys()),
+            ("duplicated", {bid for bid in placed if ids.count(bid) > 1}),
+        ):
+            if bids:
+                parts.append(f"{words} {sorted(bids)}")
+        yield "RL011", None, (
+            "layout is not a permutation of the procedure's blocks"
+            + (f" ({', '.join(parts)})" if parts else "")
+        )
+    elif proc.original_order and ids[0] != proc.original_order[0]:
+        entry = proc.original_order[0]
+        yield "RL002", entry, f"entry block {entry} not placed first"
+
+    out_edges = proc.out_edges
+    for placement, nxt in zip(placements, ids[1:] + [None]):
+        bid = placement.bid
+        block = blocks.get(bid)
+        if block is None:
+            continue  # RL011
+        kind = block.kind
+        target, jump = placement.taken_target, placement.jump_target
+        removed = placement.branch_removed
+        taken: Optional[BlockId] = None
+        fall: Optional[BlockId] = None
+        for edge in out_edges(bid):
+            if edge.kind is _TAKEN_EDGE:
+                taken = edge.dst
+            elif edge.kind is _FALL_EDGE:
+                fall = edge.dst
+        if kind is _FALLTHROUGH:
+            if target is not None:
+                yield _cannot(bid, kind, "carry a taken target")
+            if removed:
+                yield _cannot(bid, kind, "have its branch removed")
+            if fall is None:
+                continue
+            if jump is None and nxt != fall:
+                yield _falls_off(bid, fall, nxt)
+            elif jump is not None and jump != fall:
+                yield _mistarget(bid, "appended jump", jump, (fall,), blocks)
+        elif kind is _COND:
+            if removed:
+                yield _cannot(bid, kind, "have its branch removed")
+            if taken is None or fall is None:
+                continue
+            allowed = (taken, fall)
+            if target not in allowed:
+                yield _mistarget(bid, "conditional branch", target, allowed, blocks)
+            if jump is not None and jump not in allowed:
+                yield _mistarget(bid, "appended jump", jump, allowed, blocks)
+            if target in allowed:
+                other = fall if target == taken else taken
+                reached = nxt if jump is None else jump
+                if reached != other:
+                    if jump is None:
+                        yield _falls_off(bid, other, nxt)
+                    yield "RL010", bid, (
+                        f"as placed, branch covers targets {{{target}, {reached}}} "
+                        f"instead of successors {{{taken}, {fall}}} — the sense flip "
+                        f"is not invertible"
+                    )
+        elif kind is _UNCOND:
+            if jump is not None:
+                yield _cannot(bid, kind, "carry an appended jump")
+            if taken is None:
+                continue
+            if removed and nxt != taken:
+                yield _falls_off(bid, taken, nxt)
+            elif not removed and target != taken:
+                yield _mistarget(bid, "unconditional branch", target, (taken,), blocks)
+        else:  # indirect jumps and returns are never rewritten
+            if target is not None:
+                yield _cannot(bid, kind, "carry a taken target")
+            if jump is not None:
+                yield _cannot(bid, kind, "carry an appended jump")
+            if removed:
+                yield _cannot(bid, kind, "have its branch removed")
 
 
 class ProgramLayout:

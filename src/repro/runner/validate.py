@@ -13,16 +13,18 @@ written once, where ``repro lint`` and ``repro doctor`` check it too:
 
 * :func:`validate_profile` (stage ``profile``) runs the lint catalog's
   ``profile-consistency`` (RL008) and ``profile-flow`` (RL009) passes;
-* :func:`validate_layout` (stage ``align``) runs
-  :meth:`~repro.isa.layout.ProcedureLayout.check` on every procedure
-  layout — the check each layout already passed when it was constructed;
+* :func:`validate_layout` (stage ``align``) cites every
+  :func:`~repro.isa.layout.layout_findings` of every procedure layout
+  (RL002, RL004, RL005, RL010–RL012): the findings the four layout
+  passes render and ``ProcedureLayout`` construction raises on;
 * :func:`validate_linked` (stage ``link``) runs
   :func:`~repro.staticcheck.passes.check_address_map`, the RL006 check
   the ``lower-addresses`` pass runs, on the image it is handed.
 
-CFG well-formedness needs no stage check: ``Procedure.__init__``
-validates every procedure it builds.  ``repro doctor BENCH`` renders
-the whole lint catalog through :func:`render_invariant_report`.
+CFG well-formedness needs no stage check: ``Procedure`` construction
+raises on the first :func:`~repro.cfg.procedure_findings`, the findings
+the RL001–RL004 passes render.  ``repro doctor BENCH`` renders the
+whole lint catalog through :func:`render_invariant_report`.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from ..cfg import Program
+from ..cfg import Program, cite_finding
 from ..isa.encoder import LinkedProgram
-from ..isa.layout import LayoutError, ProgramLayout
+from ..isa.layout import ProgramLayout, layout_findings
 from ..profiling.edge_profile import EdgeProfile
 from ..staticcheck.diagnostics import Diagnostic
 from ..staticcheck.passes import PASSES, LintContext, PassManager, check_address_map
@@ -76,13 +78,11 @@ def validate_profile(program: Program, profile: EdgeProfile) -> None:
 
 def validate_layout(layout: ProgramLayout) -> None:
     """Raise unless every procedure layout preserves its control flow."""
-    violations: List[str] = []
-    for proc_layout in layout:
-        try:
-            proc_layout.check()
-        except LayoutError as exc:
-            violations.append(str(exc))
-    _fail("align", violations)
+    _fail("align", [
+        cite_finding(proc_layout.procedure.name, finding)
+        for proc_layout in layout
+        for finding in layout_findings(proc_layout)
+    ])
 
 
 def validate_linked(linked: LinkedProgram) -> None:

@@ -9,11 +9,14 @@ always terminates with a report — the whole point of linting corrupt
 artifacts.
 
 Everything here is *static*: no trace replay, no behaviour execution.
-The passes deliberately read the raw CFG attributes (``blocks``,
-``edges``, ``original_order``) rather than trusting ``validate()``,
-because the fault-injection harness hands them Procedure/Layout objects
-assembled behind the constructors' backs — exactly how a real rewriter
-bug would manifest.
+The CFG passes (RL001–RL004) and the layout passes (RL002, RL004,
+RL005, RL010–RL012) hold no condition of their own: each renders its
+codes among :func:`~repro.cfg.procedure_findings` or
+:func:`~repro.isa.layout.layout_findings`, the checks ``Procedure`` and
+``ProcedureLayout`` construction raise on.  Those read the raw CFG and
+placement attributes rather than trusting construction, because the
+fault-injection harness hands the passes objects assembled behind the
+constructors' backs — exactly how a real rewriter bug would manifest.
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ from typing import (
     Tuple,
 )
 
-from ..cfg import EdgeKind, Procedure, Program, TerminatorKind
-from ..cfg.blocks import expected_edge_kinds
+from ..cfg import Procedure, Program, TerminatorKind, procedure_findings
 from ..isa.encoder import INSTRUCTION_BYTES, TEXT_BASE, LinkedProgram, link
-from ..isa.layout import ProcedureLayout, ProgramLayout
+from ..isa.layout import ProcedureLayout, ProgramLayout, layout_findings
 from ..profiling.edge_profile import EdgeProfile
 from .binary.encoding import pass_binary_encoding, pass_binary_recovery
 from .dataflow import ProgramAnalyses
@@ -153,125 +155,19 @@ def _diag(
 # ----------------------------------------------------------------------
 # CFG structure passes
 # ----------------------------------------------------------------------
-def _pass_unique_blocks(ctx: LintContext) -> List[Diagnostic]:
-    """RL001: block-id uniqueness and order/table agreement."""
-    out: List[Diagnostic] = []
-    for proc in ctx.procedures():
-        order = list(proc.original_order)
-        seen: Dict[int, int] = {}
-        for bid in order:
-            seen[bid] = seen.get(bid, 0) + 1
-        for bid, count in sorted(seen.items()):
-            if count > 1:
-                out.append(_diag(
-                    "RL001",
-                    f"block {bid} appears {count} times in the layout order",
-                    "cfg-unique-blocks", procedure=proc.name, block=bid,
-                ))
-            if bid not in proc.blocks:
-                out.append(_diag(
-                    "RL001",
-                    f"ordered block {bid} missing from the block table",
-                    "cfg-unique-blocks", procedure=proc.name, block=bid,
-                ))
-        for bid in sorted(set(proc.blocks) - set(order)):
-            out.append(_diag(
-                "RL001",
-                f"block {bid} present in the block table but never ordered",
-                "cfg-unique-blocks", procedure=proc.name, block=bid,
-            ))
-        for bid, block in proc.blocks.items():
-            if block.bid != bid:
-                out.append(_diag(
-                    "RL001",
-                    f"block table maps id {bid} to a block labelled {block.bid}",
-                    "cfg-unique-blocks", procedure=proc.name, block=bid,
-                ))
-    return out
+def _cfg_pass(pass_id: str, description: str, *codes: str) -> VerifierPass:
+    """A pass rendering the ``codes`` among each procedure's
+    :func:`~repro.cfg.procedure_findings`."""
 
+    def run(ctx: LintContext) -> List[Diagnostic]:
+        return [
+            _diag(code, message, pass_id, procedure=proc.name, block=block)
+            for proc in ctx.procedures()
+            for code, block, message in procedure_findings(proc)
+            if code in codes
+        ]
 
-def _pass_entry(ctx: LintContext) -> List[Diagnostic]:
-    """RL002: a unique, known entry block laid out first."""
-    out: List[Diagnostic] = []
-    for proc in ctx.procedures():
-        if not proc.original_order:
-            out.append(_diag(
-                "RL002", "procedure has no blocks", "cfg-entry",
-                procedure=proc.name,
-            ))
-            continue
-        entry = proc.original_order[0]
-        if entry not in proc.blocks:
-            out.append(_diag(
-                "RL002",
-                f"entry block {entry} missing from the block table",
-                "cfg-entry", procedure=proc.name, block=entry,
-            ))
-    return out
-
-
-def _pass_terminators(ctx: LintContext) -> List[Diagnostic]:
-    """RL003: out-edge multiset legal for each block's terminator kind."""
-    out: List[Diagnostic] = []
-    for proc in ctx.procedures():
-        by_src: Dict[int, List[EdgeKind]] = {bid: [] for bid in proc.blocks}
-        for edge in proc.edges:
-            if edge.src in by_src:
-                by_src[edge.src].append(edge.kind)
-        for bid, block in sorted(proc.blocks.items()):
-            kinds = tuple(sorted(by_src[bid], key=lambda k: k.value))
-            legal = expected_edge_kinds(block.kind)
-            if block.kind is TerminatorKind.INDIRECT:
-                ok = len(kinds) >= 1 and all(k is EdgeKind.INDIRECT for k in kinds)
-            else:
-                ok = kinds in legal
-            if not ok:
-                out.append(_diag(
-                    "RL003",
-                    f"{block.kind.value} block has out-edge kinds "
-                    f"[{', '.join(k.value for k in kinds)}]",
-                    "cfg-terminators", procedure=proc.name, block=bid,
-                ))
-                continue
-            if block.kind is TerminatorKind.COND:
-                targets = [e.dst for e in proc.edges if e.src == bid
-                           and e.kind in (EdgeKind.TAKEN, EdgeKind.FALLTHROUGH)]
-                if len(set(targets)) != len(targets):
-                    out.append(_diag(
-                        "RL003",
-                        "conditional branch has identical taken and "
-                        "fall-through targets",
-                        "cfg-terminators", procedure=proc.name, block=bid,
-                    ))
-            ft = [e for e in proc.edges
-                  if e.src == bid and e.kind is EdgeKind.FALLTHROUGH]
-            if any(e.dst == bid for e in ft):
-                out.append(_diag(
-                    "RL003", "block falls through to itself",
-                    "cfg-terminators", procedure=proc.name, block=bid,
-                ))
-    return out
-
-
-def _pass_edge_resolution(ctx: LintContext) -> List[Diagnostic]:
-    """RL004: every edge endpoint names a block that exists."""
-    out: List[Diagnostic] = []
-    for proc in ctx.procedures():
-        for edge in proc.edges:
-            if edge.src not in proc.blocks:
-                out.append(_diag(
-                    "RL004",
-                    f"edge {edge.src}->{edge.dst} has unknown source block",
-                    "cfg-edge-resolution", procedure=proc.name, block=edge.src,
-                ))
-            if edge.dst not in proc.blocks:
-                out.append(_diag(
-                    "RL004",
-                    f"edge {edge.src}->{edge.dst} targets unknown block "
-                    f"{edge.dst}",
-                    "cfg-edge-resolution", procedure=proc.name, block=edge.src,
-                ))
-    return out
+    return VerifierPass(pass_id, description, run)
 
 
 def _pass_reachability(ctx: LintContext) -> List[Diagnostic]:
@@ -372,199 +268,20 @@ def _proc_layouts(ctx: LintContext) -> Iterator[Tuple[str, ProcedureLayout]]:
                 yield label, proc_layout
 
 
-def _pass_layout_permutation(ctx: LintContext) -> List[Diagnostic]:
-    """RL011/RL002: every block placed exactly once, entry first."""
-    out: List[Diagnostic] = []
-    for label, proc_layout in _proc_layouts(ctx):
-        proc = proc_layout.procedure
-        placed = sorted(p.bid for p in proc_layout.placements)
-        expected = sorted(proc.blocks)
-        if placed != expected:
-            missing = sorted(set(expected) - set(placed))
-            extra = sorted(set(placed) - set(expected))
-            dupes = sorted({b for b in placed if placed.count(b) > 1})
-            parts = []
-            if missing:
-                parts.append(f"missing {missing}")
-            if extra:
-                parts.append(f"unknown {extra}")
-            if dupes:
-                parts.append(f"duplicated {dupes}")
-            out.append(_diag(
-                "RL011",
-                "layout is not a permutation of the procedure's blocks"
-                + (f" ({', '.join(parts)})" if parts else ""),
-                "layout-permutation", procedure=proc.name, layout=label,
-            ))
-            continue
-        if proc_layout.placements and proc.original_order:
-            entry = proc.original_order[0]
-            if proc_layout.placements[0].bid != entry:
-                out.append(_diag(
-                    "RL002",
-                    f"entry block {entry} not placed first",
-                    "layout-permutation", procedure=proc.name,
-                    block=entry, layout=label,
-                ))
-    return out
+def _layout_pass(pass_id: str, description: str, *codes: str) -> VerifierPass:
+    """A pass rendering the ``codes`` among each procedure layout's
+    :func:`~repro.isa.layout.layout_findings`."""
 
+    def run(ctx: LintContext) -> List[Diagnostic]:
+        return [
+            _diag(code, message, pass_id, procedure=proc_layout.procedure.name,
+                  block=block, layout=label)
+            for label, proc_layout in _proc_layouts(ctx)
+            for code, block, message in layout_findings(proc_layout)
+            if code in codes
+        ]
 
-def _cond_successors(proc: Procedure, bid: int) -> Optional[Tuple[int, int]]:
-    """(taken, fallthrough) destinations of a conditional, or None."""
-    taken = fall = None
-    for edge in proc.edges:
-        if edge.src != bid:
-            continue
-        if edge.kind is EdgeKind.TAKEN:
-            taken = edge.dst
-        elif edge.kind is EdgeKind.FALLTHROUGH:
-            fall = edge.dst
-    if taken is None or fall is None:
-        return None
-    return taken, fall
-
-
-def _pass_fallthrough_adjacency(ctx: LintContext) -> List[Diagnostic]:
-    """RL005: every implicit (fall-through) successor is placed next."""
-    out: List[Diagnostic] = []
-    for label, proc_layout in _proc_layouts(ctx):
-        proc = proc_layout.procedure
-        ids = [p.bid for p in proc_layout.placements]
-        for idx, placement in enumerate(proc_layout.placements):
-            block = proc.blocks.get(placement.bid)
-            if block is None:
-                continue  # layout-permutation reports this
-            nxt = ids[idx + 1] if idx + 1 < len(ids) else None
-            falls_off = None
-            if block.kind is TerminatorKind.FALLTHROUGH:
-                if placement.jump_target is None:
-                    edge = next((e for e in proc.edges if e.src == placement.bid
-                                 and e.kind is EdgeKind.FALLTHROUGH), None)
-                    if edge is not None and edge.dst != nxt:
-                        falls_off = edge.dst
-            elif block.kind is TerminatorKind.COND:
-                succ = _cond_successors(proc, placement.bid)
-                if succ is not None and placement.jump_target is None:
-                    taken, fall = succ
-                    if placement.taken_target in (taken, fall):
-                        other = fall if placement.taken_target == taken else taken
-                        if other != nxt:
-                            falls_off = other
-            elif block.kind is TerminatorKind.UNCOND and placement.branch_removed:
-                edge = next((e for e in proc.edges if e.src == placement.bid
-                             and e.kind is EdgeKind.TAKEN), None)
-                if edge is not None and edge.dst != nxt:
-                    falls_off = edge.dst
-            if falls_off is not None:
-                out.append(_diag(
-                    "RL005",
-                    f"fall-through successor {falls_off} is not the next "
-                    f"placed block ({nxt})",
-                    "lower-fallthrough", procedure=proc.name,
-                    block=placement.bid, layout=label,
-                ))
-    return out
-
-
-def _pass_branch_sense(ctx: LintContext) -> List[Diagnostic]:
-    """RL010: conditionals reach both successors exactly once as placed.
-
-    A sense flip that keeps adjacency intact (the ``flip-sense`` fault)
-    lands here: the placement's taken target and its implicit/jump side
-    no longer cover the conditional's two CFG successors.
-    """
-    out: List[Diagnostic] = []
-    for label, proc_layout in _proc_layouts(ctx):
-        proc = proc_layout.procedure
-        ids = [p.bid for p in proc_layout.placements]
-        for idx, placement in enumerate(proc_layout.placements):
-            block = proc.blocks.get(placement.bid)
-            if block is None or block.kind is not TerminatorKind.COND:
-                continue
-            succ = _cond_successors(proc, placement.bid)
-            if succ is None:
-                continue  # cfg-terminators reports this
-            taken, fall = succ
-            if placement.taken_target not in (taken, fall):
-                continue  # lower-transfer-targets reports this (RL012)
-            nxt = ids[idx + 1] if idx + 1 < len(ids) else None
-            reached = (placement.jump_target
-                       if placement.jump_target is not None else nxt)
-            if {placement.taken_target, reached} != {taken, fall}:
-                out.append(_diag(
-                    "RL010",
-                    f"as placed, branch covers targets "
-                    f"{{{placement.taken_target}, {reached}}} instead of "
-                    f"successors {{{taken}, {fall}}} — the sense flip is "
-                    f"not invertible",
-                    "lower-branch-sense", procedure=proc.name,
-                    block=placement.bid, layout=label,
-                ))
-    return out
-
-
-def _pass_transfer_targets(ctx: LintContext) -> List[Diagnostic]:
-    """RL012/RL004: placement targets resolve to the right blocks.
-
-    A transfer pointed at a block that is not the corresponding CFG
-    successor (the ``mutate-layout`` fault) is RL012; a target that is
-    not a block at all is RL004.
-    """
-    out: List[Diagnostic] = []
-    for label, proc_layout in _proc_layouts(ctx):
-        proc = proc_layout.procedure
-
-        def check_target(placement, field_name: str, target: int,
-                         allowed: List[int], role: str) -> None:
-            if target not in proc.blocks:
-                out.append(_diag(
-                    "RL004",
-                    f"{role} targets unknown block {target}",
-                    "lower-transfer-targets", procedure=proc.name,
-                    block=placement.bid, layout=label,
-                ))
-            elif target not in allowed:
-                out.append(_diag(
-                    "RL012",
-                    f"{role} retargeted at block {target}; CFG allows "
-                    f"{sorted(set(allowed))}",
-                    "lower-transfer-targets", procedure=proc.name,
-                    block=placement.bid, layout=label,
-                ))
-
-        for placement in proc_layout.placements:
-            block = proc.blocks.get(placement.bid)
-            if block is None:
-                continue
-            succs = [e.dst for e in proc.edges if e.src == placement.bid]
-            if block.kind is TerminatorKind.COND:
-                succ = _cond_successors(proc, placement.bid)
-                allowed = list(succ) if succ is not None else succs
-                if placement.taken_target is not None:
-                    check_target(placement, "taken_target",
-                                 placement.taken_target, allowed,
-                                 "conditional branch")
-                if placement.jump_target is not None:
-                    check_target(placement, "jump_target",
-                                 placement.jump_target, allowed,
-                                 "appended jump")
-            elif block.kind is TerminatorKind.UNCOND:
-                edge = next((e for e in proc.edges if e.src == placement.bid
-                             and e.kind is EdgeKind.TAKEN), None)
-                allowed = [edge.dst] if edge is not None else succs
-                if placement.taken_target is not None:
-                    check_target(placement, "taken_target",
-                                 placement.taken_target, allowed,
-                                 "unconditional branch")
-            elif block.kind is TerminatorKind.FALLTHROUGH:
-                edge = next((e for e in proc.edges if e.src == placement.bid
-                             and e.kind is EdgeKind.FALLTHROUGH), None)
-                allowed = [edge.dst] if edge is not None else succs
-                if placement.jump_target is not None:
-                    check_target(placement, "jump_target",
-                                 placement.jump_target, allowed,
-                                 "appended jump")
-    return out
+    return VerifierPass(pass_id, description, run, needs_layouts=True)
 
 
 def check_address_map(
@@ -1055,28 +772,22 @@ def _pass_predict_calibration(ctx: LintContext) -> List[Diagnostic]:
 # The catalog and the pass manager
 # ----------------------------------------------------------------------
 PASSES: Tuple[VerifierPass, ...] = (
-    VerifierPass("cfg-unique-blocks", "block ids unique and consistently tabled",
-                 _pass_unique_blocks),
-    VerifierPass("cfg-entry", "entry block exists and is unique",
-                 _pass_entry),
-    VerifierPass("cfg-terminators", "out-edges legal for each terminator kind",
-                 _pass_terminators),
-    VerifierPass("cfg-edge-resolution", "every edge endpoint resolves",
-                 _pass_edge_resolution),
+    _cfg_pass("cfg-unique-blocks", "block ids unique and consistently tabled", "RL001"),
+    _cfg_pass("cfg-entry", "entry block exists and is unique", "RL002"),
+    _cfg_pass("cfg-terminators", "out-edges legal for each terminator kind", "RL003"),
+    _cfg_pass("cfg-edge-resolution", "every edge endpoint resolves", "RL004"),
     VerifierPass("cfg-reachability", "blocks reachable from the entry",
                  _pass_reachability),
     VerifierPass("profile-consistency", "profiled edges exist in the CFG",
                  _pass_profile_consistency, needs_profile=True),
     VerifierPass("profile-flow", "per-block profile flow conservation",
                  _pass_flow_conservation, needs_profile=True),
-    VerifierPass("layout-permutation", "layouts place every block once, entry first",
-                 _pass_layout_permutation, needs_layouts=True),
-    VerifierPass("lower-fallthrough", "implicit successors placed adjacent",
-                 _pass_fallthrough_adjacency, needs_layouts=True),
-    VerifierPass("lower-branch-sense", "conditional sense flips are invertible",
-                 _pass_branch_sense, needs_layouts=True),
-    VerifierPass("lower-transfer-targets", "rewritten transfers hit CFG successors",
-                 _pass_transfer_targets, needs_layouts=True),
+    _layout_pass("layout-permutation", "layouts place every block once, entry first",
+                 "RL011", "RL002"),
+    _layout_pass("lower-fallthrough", "implicit successors placed adjacent", "RL005"),
+    _layout_pass("lower-branch-sense", "conditional sense flips are invertible", "RL010"),
+    _layout_pass("lower-transfer-targets", "rewritten transfers hit CFG successors",
+                 "RL012", "RL004"),
     VerifierPass("lower-addresses", "addresses tile the text segment",
                  _pass_addresses, needs_layouts=True),
     VerifierPass("binary-encoding", "linked stream displacements and targets encode",

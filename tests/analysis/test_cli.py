@@ -266,6 +266,26 @@ class TestBreakdownCommand:
         out = capsys.readouterr().out
         assert "Misfetch cyc" in out and "try15" in out
 
+    def test_unknown_architecture_is_a_usage_error(self, capsys, monkeypatch):
+        import repro.cli as cli
+
+        def no_workload(args):
+            raise AssertionError("breakdown built the benchmark before parsing --archs")
+
+        monkeypatch.setattr(cli, "_workload", no_workload)
+        assert main(["breakdown", "eqntott", "--archs", "bogus"]) == 2
+        assert "unknown architectures: bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep"], ["tournament"], ["breakdown", "eqntott"],
+])
+@pytest.mark.parametrize("archs", ["bogus", "fallthrough,warp", ","])
+def test_every_archs_flag_rejects_unknown_architectures(capsys, command, archs):
+    assert main(command + ["--archs", archs]) == 2
+    err = capsys.readouterr().err
+    assert "unknown architectures" in err and "known: fallthrough" in err
+
 
 class TestSensitivityCommand:
     def test_penalty_sweep(self, capsys):

@@ -24,8 +24,8 @@ from repro.runner.retry import RetryPolicy
 
 BENCHMARKS = "eqntott,compress,alvinn"
 #: Patient enough to ride out the kill -> restart gap (sub-second in this
-#: test), short enough that a worker orphaned by the *end* of the sweep
-#: gives up well inside the join timeout below.
+#: test); a worker still dialling when the resumed sweep ends is stopped,
+#: not waited out.
 PATIENT_RECONNECT = RetryPolicy(
     max_attempts=60, base_delay=0.1, max_delay=0.5, max_total_delay=20.0
 )
@@ -95,6 +95,10 @@ def test_coordinator_sigkill_loses_no_work_and_workers_reattach(tmp_path):
     from repro.cli import main
     assert main(sweep_args(queue, port, "--resume")) == 0
 
+    # The sweep is over: a worker still dialling the closed port stops
+    # between reconnect attempts instead of spending its whole budget.
+    for thread in workers:
+        thread.worker.stop()
     for thread in workers:
         thread.join(timeout=60.0)
     summaries = [t.summary for t in workers]

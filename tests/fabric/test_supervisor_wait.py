@@ -185,3 +185,6 @@ def test_unit_handed_to_a_dead_worker_is_revoked_at_once():
     assert record.lease_history[1]["detail"] == (
         f"worker {handle.worker_id} gone before hand-off")
     assert record.crash_workers == []
+    # The failed hand-off costs no attempt: the completing lease is attempt 1.
+    assert [e["attempt"] for e in record.lease_history[2:]] == [1, 1]
+    assert record.attempts == 1
