@@ -150,7 +150,7 @@ class LinkedProgram:
                     out.append(self._terminator(name, block.kind, linked))
                 if linked.jump_address is not None:
                     target = self._target_address(
-                        name, placement.bid, placement.jump_target, "appended jump"
+                        name, placement.bid, placement.jump_target, "an appended jump"
                     )
                     out.append(
                         Instruction(
@@ -169,7 +169,7 @@ class LinkedProgram:
         placed = self.blocks[proc_name]
         if target is None or target not in placed:
             raise LayoutError(
-                f"{proc_name}: block {bid} has a {what} with no target block "
+                f"{proc_name}: block {bid} has {what} with no target block "
                 f"in the procedure (target {target})"
             )
         return placed[target].start
@@ -178,7 +178,7 @@ class LinkedProgram:
         assert linked.term_address is not None
         if kind in (TerminatorKind.COND, TerminatorKind.UNCOND):
             target = self._target_address(
-                proc_name, linked.bid, linked.placement.taken_target, "kept branch"
+                proc_name, linked.bid, linked.placement.taken_target, "a kept branch"
             )
             opcode = (
                 Opcode.COND_BRANCH if kind is TerminatorKind.COND else Opcode.UNCOND_BRANCH

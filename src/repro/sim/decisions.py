@@ -40,7 +40,7 @@ if TYPE_CHECKING:
 from ..cfg import BlockId, Program, TerminatorKind
 from ..isa.encoder import INSTRUCTION_BYTES
 from ..isa.serialize import FORMAT_VERSION as ISA_FORMAT_VERSION
-from .executor import ExecutionError
+from .executor import check_behaviours
 from .predictors.ras import ReturnStack
 
 #: Bump to invalidate every previously cached trace (schema evolution).
@@ -264,8 +264,9 @@ def capture_decisions(
     """
     if reset:
         program.reset_behaviors(seed)
+    check_behaviours(program)
 
-    # Pre-resolve per-block walk records, validating like _compile_nodes.
+    # Pre-resolve per-block walk records.
     # Each record ends with the block's template-id tables — successor ->
     # id, one callee -> id table per call, return frame -> id — so a
     # repeated step looks its id up without building a template tuple.
@@ -280,15 +281,6 @@ def capture_decisions(
             indirect_dsts: List[BlockId] = []
             if block.kind is TerminatorKind.INDIRECT:
                 indirect_dsts = [e.dst for e in proc.out_edges(block.bid)]
-                if block.behavior is None and len(indirect_dsts) > 1:
-                    raise ExecutionError(
-                        f"{proc.name}: indirect block {block.bid} with multiple "
-                        f"targets needs a behaviour"
-                    )
-            if block.kind is TerminatorKind.COND and block.behavior is None:
-                raise ExecutionError(
-                    f"{proc.name}: conditional block {block.bid} needs a behaviour"
-                )
             records[block.bid] = (
                 block.kind,
                 block.behavior,

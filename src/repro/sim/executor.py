@@ -63,8 +63,34 @@ class _Node:
         self.indirect_dsts: List[BlockId] = []
 
 
+def check_behaviours(program: Program) -> None:
+    """Raise :class:`ExecutionError` for a block that cannot run.
+
+    A conditional needs a behaviour, and so does an indirect jump with
+    more than one target.  Execute, decision capture and replay binding
+    call this before their first step, so they refuse the same programs
+    with the same error, whatever blocks a run would reach; replay does
+    so even through a trace captured before a behaviour was lost.
+    """
+    cond, indirect = TerminatorKind.COND, TerminatorKind.INDIRECT
+    for proc in program:
+        for block in proc.blocks.values():
+            if block.behavior is not None:
+                continue
+            if block.kind is cond:
+                raise ExecutionError(
+                    f"{proc.name}: conditional block {block.bid} needs a behaviour"
+                )
+            if block.kind is indirect and len(proc.out_edges(block.bid)) > 1:
+                raise ExecutionError(
+                    f"{proc.name}: indirect block {block.bid} with multiple "
+                    f"targets needs a behaviour"
+                )
+
+
 def _compile_nodes(linked: LinkedProgram) -> Dict[str, Dict[BlockId, _Node]]:
     """Flatten CFG + layout + addresses into per-block execution records."""
+    check_behaviours(linked.program)
     nodes: Dict[str, Dict[BlockId, _Node]] = {}
     for proc in linked.program:
         proc_nodes: Dict[BlockId, _Node] = {}
@@ -89,15 +115,6 @@ def _compile_nodes(linked: LinkedProgram) -> Dict[str, Dict[BlockId, _Node]]:
             node.taken_target = lb.placement.taken_target
             if block.kind is TerminatorKind.INDIRECT:
                 node.indirect_dsts = [e.dst for e in proc.out_edges(block.bid)]
-                if block.behavior is None and len(node.indirect_dsts) > 1:
-                    raise ExecutionError(
-                        f"{proc.name}: indirect block {block.bid} with multiple "
-                        f"targets needs a behaviour"
-                    )
-            if block.kind is TerminatorKind.COND and block.behavior is None:
-                raise ExecutionError(
-                    f"{proc.name}: conditional block {block.bid} needs a behaviour"
-                )
             proc_nodes[block.bid] = node
         nodes[proc.name] = proc_nodes
     return nodes

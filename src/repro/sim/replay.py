@@ -28,8 +28,8 @@ ever being unfaithful:
   over-subscribed set replays only its own sites' events, which is
   exact because LRU order inside a set ignores every other set.  gshare
   mixes every site through its global history, so it runs its update
-  inlined over the conditional steps alone.  Returns come from the
-  trace's return-stack statistics.
+  inlined over the conditional steps alone, a run of one template at a
+  time.  Returns come from the trace's return-stack statistics.
 * **faithful** — any other listener (trace capture, recorders,
   subclassed predictors, the Alpha timing model) receives every event
   through the same ``on_event`` protocol the executor uses, in the same
@@ -60,7 +60,7 @@ from ..isa.encoder import INSTRUCTION_BYTES, LinkedProgram
 from ..cfg import BlockId, TerminatorKind
 from . import trace as tr
 from .decisions import DecisionTrace, T_BRANCH, T_CALL, T_FINAL, T_RET
-from .executor import ExecutionResult, _compile_nodes
+from .executor import ExecutionResult, check_behaviours
 from .predictors.btb import BTBSim, _Entry as _BTBEntry
 from .predictors.pht import CorrelationPHT, DirectMappedPHT
 from .predictors.static_ import BTFNTSim, FallthroughSim, LikelySim
@@ -116,67 +116,77 @@ class _Step:
 
 
 def compile_steps(linked: LinkedProgram, trace: DecisionTrace) -> List[_Step]:
-    """Bind every step template to ``linked``'s addresses and senses."""
+    """Bind every step template to ``linked``'s addresses and senses.
+
+    Reads only the blocks the templates name: addresses, the taken target
+    and the removed branch from ``linked.blocks``, block kinds and call
+    offsets from the CFG.
+    """
     program = linked.program
-    nodes = _compile_nodes(linked)
-    entry_addr = {name: linked.entry_address(name) for name in program.order}
-    entries = {name: program.procedure(name).entry for name in program.order}
+    check_behaviours(program)
+    placed = linked.blocks
+    procedures = program.procedures
     step = INSTRUCTION_BYTES
     cond_k, uncond_k, indirect_k = tr.COND, tr.UNCOND, tr.INDIRECT
     call_k, icall_k, ret_k = tr.CALL, tr.ICALL, tr.RET
+    cond, fallthrough, uncond = (
+        TerminatorKind.COND, TerminatorKind.FALLTHROUGH, TerminatorKind.UNCOND
+    )
 
     compiled: List[_Step] = []
     for template in trace.templates:
         kind = template[0]
         if kind == T_BRANCH:
             _, proc, bid, succ = template
-            node = nodes[proc][bid]
-            dst = nodes[proc][succ]
-            if node.kind is TerminatorKind.COND:
-                site = node.term_addr
-                if succ == node.taken_target:
+            blocks = placed[proc]
+            lb = blocks[bid]
+            dst = blocks[succ]
+            block_kind = procedures[proc].blocks[bid].kind
+            if block_kind is cond:
+                site = lb.term_address
+                assert site is not None  # a conditional keeps its branch
+                if succ == lb.placement.taken_target:
                     events: Tuple = ((cond_k, site, dst.start, True),)
-                elif node.jump_addr is not None:
+                elif lb.jump_address is not None:
                     events = (
                         (cond_k, site, site + step, False),
-                        (uncond_k, node.jump_addr, dst.start, True),
+                        (uncond_k, lb.jump_address, dst.start, True),
                     )
                 else:
                     events = ((cond_k, site, site + step, False),)
-            elif node.kind is TerminatorKind.FALLTHROUGH:
-                if node.jump_addr is not None:
-                    events = ((uncond_k, node.jump_addr, dst.start, True),)
+            elif block_kind is fallthrough:
+                if lb.jump_address is not None:
+                    events = ((uncond_k, lb.jump_address, dst.start, True),)
                 else:
                     events = ()
-            elif node.kind is TerminatorKind.UNCOND:
-                if node.branch_removed:
+            elif block_kind is uncond:
+                if lb.placement.branch_removed:
                     events = ()
                 else:
-                    events = ((uncond_k, node.term_addr, dst.start, True),)
+                    events = ((uncond_k, lb.term_address, dst.start, True),)
             else:  # INDIRECT
-                events = ((indirect_k, node.term_addr, dst.start, True),)
+                events = ((indirect_k, lb.term_address, dst.start, True),)
             compiled.append(
                 _Step(events, (proc, succ, dst.start, dst.size), (proc, bid, succ))
             )
         elif kind == T_CALL:
             _, proc, bid, call_idx, callee = template
-            site, _static_callee, chooser = nodes[proc][bid].calls[call_idx]
-            event_kind = icall_k if chooser is not None else call_k
-            events = ((event_kind, site, entry_addr[callee], True),)
-            entry_bid = entries[callee]
-            entry_node = nodes[callee][entry_bid]
-            compiled.append(
-                _Step(events, (callee, entry_bid, entry_node.start, entry_node.size), None)
-            )
+            call = procedures[proc].blocks[bid].calls[call_idx]
+            site = placed[proc][bid].call_address(call.offset)
+            entry_bid = procedures[callee].entry
+            entry = placed[callee][entry_bid]
+            event_kind = icall_k if call.chooser is not None else call_k
+            events = ((event_kind, site, entry.start, True),)
+            compiled.append(_Step(events, (callee, entry_bid, entry.start, entry.size), None))
         elif kind == T_RET:
             _, proc, bid, caller_proc, caller_bid, resume_idx = template
-            site = nodes[proc][bid].term_addr
-            ret_site = nodes[caller_proc][caller_bid].calls[resume_idx - 1][0]
-            events = ((ret_k, site, ret_site + step, True),)
+            call = procedures[caller_proc].blocks[caller_bid].calls[resume_idx - 1]
+            ret_site = placed[caller_proc][caller_bid].call_address(call.offset)
+            events = ((ret_k, placed[proc][bid].term_address, ret_site + step, True),)
             compiled.append(_Step(events, None, None))
         else:  # T_FINAL
             _, proc, bid = template
-            events = ((ret_k, nodes[proc][bid].term_addr, 0, True),)
+            events = ((ret_k, placed[proc][bid].term_address, 0, True),)
             compiled.append(_Step(events, None, None))
     return compiled
 
@@ -674,49 +684,78 @@ def _score_direct_pht(sim: DirectMappedPHT, layout: _Layout, slices: _Slices) ->
 
 
 def _score_gshare(sim: CorrelationPHT, layout: _Layout, slices: _Slices) -> None:
-    """gshare's inlined update, run over the conditional steps only.
+    """gshare's inlined update, run over the conditional steps a run at a time.
 
-    A run of one template longer than ``history_bits + 3`` steps is cut
-    there: by then the history holds only that outcome and the one
-    counter it indexes is saturated, so every further step predicts
-    correctly and changes nothing.
+    A run's first step is scored on its own, and only a longer run
+    enters a loop, which stops after ``history_bits + 3`` steps of the
+    run: by then the history holds only that outcome and the one counter
+    it indexes is saturated, so every further step predicts correctly
+    and changes nothing.
+
+    The table is indexed by ``key ^ history`` with no mask, which needs a
+    history no wider than the index.  A wider register only carries bits
+    above the index, which never reach it, so the loop shifts the
+    register's low bits and the whole register is shifted through the
+    same outcomes afterwards.
     """
-    codes = [0] * len(layout.compiled)
-    for tid, step in enumerate(layout.compiled):
-        if slices.cond[tid]:
-            _, site, _, taken = step.events[0]
-            codes[tid] = (site >> 2) << 1 | taken
+    compiled = layout.compiled
     table = sim.table
     counters = table.counters
     mask = table.mask
-    history = sim.history
+    keys = [0] * len(compiled)
+    taken_of = [False] * len(compiled)
+    for tid in compress(range(len(compiled)), slices.cond):
+        _, site, _, taken = compiled[tid].events[0]
+        keys[tid] = (site >> 2) & mask
+        taken_of[tid] = taken
     history_mask = sim.history_mask
+    low = history_mask & mask  # both are 2**k - 1: the narrower one
+    history = sim.history & low
     cap = sim.history_bits + 3
     mis_t = mis_n = 0
-    for code, n in zip(map(codes.__getitem__, slices.cond_tids), slices.cond_lengths):
-        if n > cap:
-            n = cap
-        key = code >> 1
-        if code & 1:
-            while n:
-                n -= 1
-                index = (key ^ history) & mask
-                value = counters[index]
-                if value < 3:
-                    counters[index] = value + 1
-                    if value < 2:
-                        mis_t += 1
-                history = ((history << 1) | 1) & history_mask
+    for tid, n in zip(slices.cond_tids, slices.cond_lengths):
+        key = keys[tid]
+        if taken_of[tid]:
+            index = key ^ history
+            value = counters[index]
+            if value < 3:
+                counters[index] = value + 1
+                if value < 2:
+                    mis_t += 1
+            history = ((history << 1) | 1) & low
+            if n > 1:
+                for _ in range(1, n if n < cap else cap):
+                    index = key ^ history
+                    value = counters[index]
+                    if value < 3:
+                        counters[index] = value + 1
+                        if value < 2:
+                            mis_t += 1
+                    history = ((history << 1) | 1) & low
         else:
-            while n:
-                n -= 1
-                index = (key ^ history) & mask
-                value = counters[index]
-                if value > 0:
-                    counters[index] = value - 1
-                    if value > 1:
-                        mis_n += 1
-                history = (history << 1) & history_mask
+            index = key ^ history
+            value = counters[index]
+            if value > 0:
+                counters[index] = value - 1
+                if value > 1:
+                    mis_n += 1
+            history = (history << 1) & low
+            if n > 1:
+                for _ in range(1, n if n < cap else cap):
+                    index = key ^ history
+                    value = counters[index]
+                    if value > 0:
+                        counters[index] = value - 1
+                        if value > 1:
+                            mis_n += 1
+                    history = (history << 1) & low
+    if low != history_mask:
+        history = sim.history
+        width = sim.history_bits
+        for tid, n in zip(slices.cond_tids, slices.cond_lengths):
+            n = min(n, width)
+            outcomes = (1 << n) - 1 if taken_of[tid] else 0
+            history = ((history << n) | outcomes) & history_mask
     sim.history = history
     _book(sim, layout.agg, layout.trace, mis_t, mis_n)
 

@@ -1,10 +1,14 @@
 """Unit tests for address assignment and disassembly."""
 
+import re
+from dataclasses import replace
+
 import pytest
 
 from repro.isa import (
     INSTRUCTION_BYTES,
     Instruction,
+    LayoutError,
     Opcode,
     ProcedureLayout,
     ProgramLayout,
@@ -13,6 +17,7 @@ from repro.isa import (
     link_identity,
 )
 from repro.cfg import Program
+from repro.runner.faults import _swap_placement
 from tests.conftest import (
     call_procedure,
     diamond_procedure,
@@ -113,6 +118,28 @@ class TestDisassembly:
         linked = link_identity(call_program)
         only_leaf = linked.disassemble("leaf")
         assert all(i.address >= linked.proc_start["leaf"] for i in only_leaf)
+
+    @staticmethod
+    def _broken(program, label, **fields):
+        """The identity layout with one placement's fields replaced."""
+        layout = ProgramLayout.identity(program)
+        bid = _labels(program.procedure("main"))[label]
+        victim = next(p for p in layout["main"].placements if p.bid == bid)
+        return bid, _swap_placement(layout, "main", victim, replace(victim, **fields))
+
+    def test_appended_jump_without_target_is_a_layout_error(self, diamond_program):
+        bid, layout = self._broken(diamond_program, "entry", jump_target=99)
+        message = (f"main: block {bid} has an appended jump with no target block "
+                   "in the procedure (target 99)")
+        with pytest.raises(LayoutError, match=f"^{re.escape(message)}$"):
+            link(layout).disassemble()
+
+    def test_kept_branch_without_target_is_a_layout_error(self, diamond_program):
+        bid, layout = self._broken(diamond_program, "endthen", taken_target=None)
+        message = (f"main: block {bid} has a kept branch with no target block "
+                   "in the procedure (target None)")
+        with pytest.raises(LayoutError, match=f"^{re.escape(message)}$"):
+            link(layout).disassemble()
 
 
 class TestInstruction:

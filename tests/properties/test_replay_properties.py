@@ -69,6 +69,7 @@ def _probes():
         DirectMappedPHT(entries=4),  # aliased counters: per-counter replay
         CorrelationPHT(),
         CorrelationPHT(entries=16, history_bits=4),  # short history: runs get cut
+        CorrelationPHT(entries=16, history_bits=6),  # history wider than the index
         BTBSim(64, 2),
         BTBSim(256, 4),
         BTBSim(16, 2),  # some sets over-subscribed: per-set replay
