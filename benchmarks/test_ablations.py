@@ -97,13 +97,13 @@ def test_ablation_sense_refinement(benchmark, emit):
         """Try15 with the sense-refinement pass disabled."""
 
         def align_procedure(self, proc, profile):
-            chains, jump_prefs = self.build_chains(proc, profile)
+            chains = self.build_chains(proc, profile)
             chains.check()
             from repro.core.layout_order import order_chains
             from repro.isa import ProcedureLayout
 
             order = order_chains(chains, profile, self.chain_order)
-            return ProcedureLayout.from_order(proc, order, jump_preference=jump_prefs)
+            return ProcedureLayout.from_order(proc, order)
 
     def run():
         suite = _suite()

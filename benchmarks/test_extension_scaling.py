@@ -48,7 +48,6 @@ def test_extension_btb_pressure_at_scale(benchmark, emit):
             f"{aligned.relative_cpi(arch, instr):.3f}",
         ])
     rows.append(["sites", str(program.static_conditional_sites()), ""])
-    rows.append(["align time", f"{align_seconds:.2f}s", ""])
     emit("extension_btb_pressure", format_table(["", "orig", "try15"], rows))
 
     small_before = base.relative_cpi("btb-64x2", instr)

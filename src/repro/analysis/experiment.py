@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..cfg import Program
+from ..core.align import Aligner
 from ..core.registry import ALIGNER_KEYS, TRY_MODEL_ARCHS, plan_algorithms
 from ..isa.encoder import LinkedProgram, link, link_identity
 from ..isa.layout import ProgramLayout, layout_key
@@ -64,6 +65,19 @@ def checked_link(layout: ProgramLayout, validate: bool) -> LinkedProgram:
     linked = link(layout)
     validate_linked(linked)
     return linked
+
+
+def run_aligner(aligner: Aligner, program: Program, profile: EdgeProfile) -> ProgramLayout:
+    """``aligner.align(program, profile)``; an exception escaping it
+    fails its unit at the runner's ``align`` stage (a stage it already
+    names is kept)."""
+    try:
+        return aligner.align(program, profile)
+    except BaseException as exc:
+        from ..runner.errors import annotate_stage
+
+        annotate_stage(exc, "align")
+        raise
 
 
 @dataclass
@@ -226,7 +240,7 @@ def run_benchmark_experiment(
             bucket.update(_report_outcomes(orig_report, served, base))
             continue
         for variant in plan.variants:
-            layout = variant.aligner.align(program, align_profile)
+            layout = run_aligner(variant.aligner, program, align_profile)
             if layouts is not None:
                 layouts[variant.label] = layout
             key = layout_key(layout)

@@ -20,7 +20,7 @@ from ..profiling import EdgeProfile
 from ..sim.alpha import AlphaConfig, alpha_execution_cycles
 from ..sim.decisions import DecisionTrace, capture_decisions
 from ..workloads import FIGURE4_PROGRAMS, generate_benchmark
-from .experiment import checked_link
+from .experiment import checked_link, run_aligner
 
 
 @dataclass
@@ -87,11 +87,11 @@ def run_figure4_program(
 
     original = cycles(link_identity(program))
 
-    greedy_layout = GreedyAligner(chain_order="weight").align(program, profile)
+    greedy_layout = run_aligner(GreedyAligner(chain_order="weight"), program, profile)
     greedy = cycles(checked_link(greedy_layout, validate))
 
     try_aligner = TryNAligner(make_model("btb"), window=window)
-    try_layout = try_aligner.align(program, profile)
+    try_layout = run_aligner(try_aligner, program, profile)
     try15 = cycles(checked_link(try_layout, validate))
     if layouts is not None:
         layouts["greedy"] = greedy_layout

@@ -6,6 +6,8 @@ artifact store, profile serialisation, layout serialisation — funnels
 through :func:`atomic_write_text` so a killed process leaves either the
 old complete file or the new complete file, plus at worst an orphaned
 ``*.tmp`` sibling that readers ignore and the store garbage-collects.
+A file found damaged is never deleted: :func:`quarantine_file` moves it
+aside for post-mortem.
 """
 
 from __future__ import annotations
@@ -48,3 +50,21 @@ def atomic_write_text(
             pass
         raise
     return path
+
+
+def quarantine_file(path: Union[str, Path], directory: Union[str, Path]) -> Path:
+    """Move ``path`` into ``directory`` and return where it went.
+
+    The file keeps its name unless ``directory`` already holds one by
+    that name; it is then named ``stem.N.suffix`` for the first free N,
+    so nothing quarantined earlier is overwritten.
+    """
+    path, directory = Path(path), Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    dest = directory / path.name
+    counter = 0
+    while dest.exists():
+        counter += 1
+        dest = directory / f"{path.stem}.{counter}{path.suffix}"
+    path.replace(dest)
+    return dest

@@ -10,16 +10,16 @@ from ..isa.layout import ProcedureLayout, ProgramLayout
 from ..profiling.edge_profile import EdgeProfile
 from .chains import ChainSet
 from .layout_order import order_chains
+from .refine import refine_senses
 
 T = TypeVar("T")
 
 
 @dataclass
 class _ChainBuild:
-    """One procedure's chains, jump preferences and the orders laid out."""
+    """One procedure's chains and the orders laid out."""
 
     chains: ChainSet
-    jump_prefs: Dict[BlockId, BlockId]
     #: chain-order strategy -> block order, filled as variants ask.
     orders: Dict[str, List[BlockId]] = field(default_factory=dict)
 
@@ -98,10 +98,11 @@ class Aligner:
     """Base class for branch alignment algorithms.
 
     Subclasses implement :meth:`build_chains`, returning the chain
-    structure plus jump preferences (which successor of an unaligned
-    conditional travels through the appended jump).  The base class turns
-    chains into a concrete :class:`ProgramLayout` via the configured chain
-    ordering strategy.
+    structure.  The base class orders the chains with the configured
+    strategy and lays each procedure out once: by the order's adjacency
+    (:meth:`ProcedureLayout.from_order`), or, for a model-driven aligner,
+    by :func:`~repro.core.refine.refine_senses`, which also picks every
+    conditional's sense and jump under the model.
     """
 
     #: Report name ("greedy", "cost", "try15", ...).
@@ -124,10 +125,8 @@ class Aligner:
     _share: Optional[PlanShare] = None
     _share_group: str = ""
 
-    def build_chains(
-        self, proc: Procedure, profile: EdgeProfile
-    ) -> Tuple[ChainSet, Dict[BlockId, BlockId]]:
-        """Build the chain structure plus per-block jump preferences."""
+    def build_chains(self, proc: Procedure, profile: EdgeProfile) -> ChainSet:
+        """Build the chain structure of one procedure."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -146,20 +145,15 @@ class Aligner:
         if order is None:
             order = order_chains(build.chains, profile, self.chain_order)
             build.orders[self.chain_order] = order
-        layout = ProcedureLayout.from_order(
-            proc, order, jump_preference=build.jump_prefs
-        )
         refine_with = self.refine_model or self.model
-        if refine_with is not None:
-            from .refine import refine_senses
-
-            layout = refine_senses(layout, refine_with, profile)
-        return layout
+        if refine_with is None:
+            return ProcedureLayout.from_order(proc, order)
+        return refine_senses(proc, order, refine_with, profile)
 
     def _build(self, proc: Procedure, profile: EdgeProfile) -> _ChainBuild:
-        chains, jump_prefs = self.build_chains(proc, profile)
+        chains = self.build_chains(proc, profile)
         chains.check()
-        return _ChainBuild(chains, jump_prefs)
+        return _ChainBuild(chains)
 
     def align(self, program: Program, profile: EdgeProfile) -> ProgramLayout:
         """Align every procedure of a program (procedure order unchanged)."""
@@ -180,9 +174,7 @@ class OriginalAligner(Aligner):
     def align_procedure(self, proc: Procedure, profile: EdgeProfile) -> ProcedureLayout:
         return ProcedureLayout.identity(proc)
 
-    def build_chains(
-        self, proc: Procedure, profile: EdgeProfile
-    ) -> Tuple[ChainSet, Dict[BlockId, BlockId]]:
+    def build_chains(self, proc: Procedure, profile: EdgeProfile) -> ChainSet:
         """Unsupported: the original layout has no chain structure."""
         raise NotImplementedError("the original layout has no chains")
 

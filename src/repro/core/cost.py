@@ -17,7 +17,7 @@ but before linking S -> D it consults the architecture cost model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..cfg import BlockId, Procedure, TerminatorKind
 from ..profiling.edge_profile import EdgeProfile
@@ -33,7 +33,10 @@ class AlignmentOption:
     ``kind`` is "link" (make ``target`` the fall-through) or "seal" (no
     fall-through successor; conditionals send ``jump`` through an appended
     unconditional jump).  ``cost`` is the modelled cycles of the block's
-    branches under this configuration.
+    branches under this configuration.  A search prices a seal by its
+    ``jump`` but keeps only the seal: once the blocks are ordered,
+    :func:`~repro.core.refine.refine_senses` picks the jump again from
+    the final positions.
     """
 
     kind: str
@@ -113,13 +116,10 @@ class CostAligner(Aligner):
         self.model = model
         self.chain_order = chain_order
 
-    def build_chains(
-        self, proc: Procedure, profile: EdgeProfile
-    ) -> Tuple[ChainSet, Dict[BlockId, BlockId]]:
+    def build_chains(self, proc: Procedure, profile: EdgeProfile) -> ChainSet:
         """Decide each hot block's cheapest configuration in weight order."""
         chains = ChainSet(proc)
         retreating = proc.cyclic_edge_pairs()
-        jump_prefs: Dict[BlockId, BlockId] = {}
         decided: Set[BlockId] = set()
 
         for (src, _dst), _w in profile.sorted_edges(proc, min_weight=1):
@@ -141,12 +141,10 @@ class CostAligner(Aligner):
                 chains.link(src, best.target)
             else:
                 chains.seal(src)
-                if block.kind is TerminatorKind.COND and best.jump is not None:
-                    jump_prefs[src] = best.jump
             decided.add(src)
 
         greedy_link_pass(chains, proc, profile, min_weight=0)
-        return chains, jump_prefs
+        return chains
 
     # ------------------------------------------------------------------
     def _should_defer(

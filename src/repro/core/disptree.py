@@ -27,7 +27,7 @@ serves every simulated architecture and no sense refinement runs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..cfg import BlockId, EdgeKind, Procedure
 from ..profiling.edge_profile import EdgeProfile
@@ -68,9 +68,7 @@ class DispTreeAligner(Aligner):
         return best
 
     # ------------------------------------------------------------------
-    def build_chains(
-        self, proc: Procedure, profile: EdgeProfile
-    ) -> Tuple[ChainSet, Dict[BlockId, BlockId]]:
+    def build_chains(self, proc: Procedure, profile: EdgeProfile) -> ChainSet:
         chains = ChainSet(proc)
         # Seed order: entry first (it must head the layout anyway), then
         # hottest blocks first so each dispatch region grows its own
@@ -93,4 +91,4 @@ class DispTreeAligner(Aligner):
                 placed.add(nxt)
                 cursor = nxt
         greedy_link_pass(chains, proc, profile, min_weight=0)
-        return chains, {}
+        return chains

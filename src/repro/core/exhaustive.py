@@ -19,9 +19,9 @@ measured (TryN should land within a few percent on small CFGs).
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
-from ..cfg import BlockId, Procedure, TerminatorKind
+from ..cfg import Procedure, TerminatorKind
 from ..isa.layout import ProcedureLayout
 from ..profiling.edge_profile import EdgeProfile
 from .align import Aligner
@@ -49,9 +49,7 @@ class ExhaustiveAligner(Aligner):
             model.name if model.name != "abstract" else "likely", window=window
         )
 
-    def build_chains(
-        self, proc: Procedure, profile: EdgeProfile
-    ) -> Tuple[ChainSet, Dict[BlockId, BlockId]]:
+    def build_chains(self, proc: Procedure, profile: EdgeProfile) -> ChainSet:
         """Unsupported: exhaustive search enumerates orders directly."""
         raise NotImplementedError("exhaustive search does not build chains")
 
@@ -62,10 +60,7 @@ class ExhaustiveAligner(Aligner):
         best_cost = float("inf")
         best_layout: Optional[ProcedureLayout] = None
         for tail in permutations(rest):
-            order = [proc.entry] + list(tail)
-            layout = refine_senses(
-                ProcedureLayout.from_order(proc, order), self.model, profile
-            )
+            layout = refine_senses(proc, (proc.entry, *tail), self.model, profile)
             cost = self._layout_cost(layout, profile)
             if cost < best_cost:
                 best_cost = cost

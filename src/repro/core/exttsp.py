@@ -255,9 +255,7 @@ class ExtTSPAligner(Aligner):
         self.min_weight = min_weight
 
     # ------------------------------------------------------------------
-    def build_chains(
-        self, proc: Procedure, profile: EdgeProfile
-    ) -> Tuple[ChainSet, Dict[BlockId, BlockId]]:
+    def build_chains(self, proc: Procedure, profile: EdgeProfile) -> ChainSet:
         chains = ChainSet(proc)
         sizes = {
             bid: proc.block(bid).size * INSTRUCTION_BYTES for bid in proc.blocks
@@ -282,4 +280,4 @@ class ExtTSPAligner(Aligner):
         _MergeSearch(chains, sizes, weighted, junction).run()
         # Thread the cold remainder exactly like every other algorithm.
         greedy_link_pass(chains, proc, profile, min_weight=0)
-        return chains, {}
+        return chains

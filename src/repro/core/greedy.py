@@ -20,9 +20,7 @@ for every simulation except the BT/FNT one — this class follows suit via
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-from ..cfg import BlockId, Procedure
+from ..cfg import Procedure
 from ..profiling.edge_profile import EdgeProfile
 from .align import Aligner, greedy_link_pass
 from .chains import ChainSet
@@ -36,10 +34,8 @@ class GreedyAligner(Aligner):
     def __init__(self, chain_order: str = "weight"):
         self.chain_order = chain_order
 
-    def build_chains(
-        self, proc: Procedure, profile: EdgeProfile
-    ) -> Tuple[ChainSet, Dict[BlockId, BlockId]]:
+    def build_chains(self, proc: Procedure, profile: EdgeProfile) -> ChainSet:
         """Merge chains along edges in descending weight order."""
         chains = ChainSet(proc)
         greedy_link_pass(chains, proc, profile, min_weight=0)
-        return chains, {}
+        return chains

@@ -18,37 +18,41 @@ Both are evaluated under the architecture cost model with the true
 backward/forward direction read off the final positions, and the cheaper
 one wins.  This never changes the dynamic block sequence, only branch
 senses and jump placement, so it composes with any chain-building
-algorithm.
+algorithm.  It works from the block order alone, before any layout
+exists, and builds the procedure's one layout; a chain search's choice
+of jump for a sealed conditional only priced the seal.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
-from ..cfg import TerminatorKind
-from ..isa.layout import BlockPlacement, ProcedureLayout
+from ..cfg import BlockId, Procedure, TerminatorKind
+from ..isa.layout import BlockPlacement, ProcedureLayout, adjacent_placement
 from ..profiling.edge_profile import EdgeProfile
 from .costmodel import ArchModel
 
 
 def refine_senses(
-    layout: ProcedureLayout, model: ArchModel, profile: EdgeProfile
+    proc: Procedure, order: Sequence[BlockId], model: ArchModel, profile: EdgeProfile
 ) -> ProcedureLayout:
-    """Re-pick every conditional's sense/jump optimally for a fixed order."""
-    proc = layout.procedure
-    order = [p.bid for p in layout.placements]
+    """Lay ``order`` out, picking every conditional's sense/jump optimally.
+
+    Every other block gets the rewrite its adjacency implies
+    (:func:`~repro.isa.layout.adjacent_placement`).
+    """
     position = {bid: idx for idx, bid in enumerate(order)}
-    refined = []
-    for idx, placement in enumerate(layout.placements):
-        block = proc.block(placement.bid)
+    nexts: List[Optional[BlockId]] = [*order[1:], None]
+    placements = []
+    for idx, (bid, nxt) in enumerate(zip(order, nexts)):
+        block = proc.block(bid)
         if block.kind is not TerminatorKind.COND:
-            refined.append(placement)
+            placements.append(adjacent_placement(proc, bid, nxt))
             continue
-        taken = proc.taken_edge(block.bid).dst  # type: ignore[union-attr]
-        fall = proc.fallthrough_edge(block.bid).dst  # type: ignore[union-attr]
-        w_taken = profile.weight(proc.name, block.bid, taken)
-        w_fall = profile.weight(proc.name, block.bid, fall)
-        nxt = order[idx + 1] if idx + 1 < len(order) else None
+        taken = proc.taken_edge(bid).dst  # type: ignore[union-attr]
+        fall = proc.fallthrough_edge(bid).dst  # type: ignore[union-attr]
+        w_taken = profile.weight(proc.name, bid, taken)
+        w_fall = profile.weight(proc.name, bid, fall)
 
         # Configuration T: branch takes `taken`; fall-through side is `fall`.
         cost_t = model.cond_cost(w_fall, w_taken, position[taken] <= idx)
@@ -61,12 +65,8 @@ def refine_senses(
 
         if cost_f < cost_t:
             jump: Optional[int] = None if nxt == taken else taken
-            refined.append(
-                BlockPlacement(block.bid, taken_target=fall, jump_target=jump)
-            )
+            placements.append(BlockPlacement(bid, taken_target=fall, jump_target=jump))
         else:
             jump = None if nxt == fall else fall
-            refined.append(
-                BlockPlacement(block.bid, taken_target=taken, jump_target=jump)
-            )
-    return ProcedureLayout(proc, refined)
+            placements.append(BlockPlacement(bid, taken_target=taken, jump_target=jump))
+    return ProcedureLayout(proc, placements)

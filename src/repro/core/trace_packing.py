@@ -22,7 +22,7 @@ reference point next to Greedy, Cost and TryN.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional, Set
 
 from ..cfg import BlockId, Procedure
 from ..profiling.edge_profile import EdgeProfile
@@ -38,9 +38,7 @@ class TraceAligner(Aligner):
     def __init__(self, chain_order: str = "weight"):
         self.chain_order = chain_order
 
-    def build_chains(
-        self, proc: Procedure, profile: EdgeProfile
-    ) -> Tuple[ChainSet, Dict[BlockId, BlockId]]:
+    def build_chains(self, proc: Procedure, profile: EdgeProfile) -> ChainSet:
         """Grow hottest-first traces along heaviest outgoing edges."""
         chains = ChainSet(proc)
         placed: Set[BlockId] = set()
@@ -58,7 +56,7 @@ class TraceAligner(Aligner):
                 continue
             self._grow_trace(proc, profile, chains, placed, seed)
         greedy_link_pass(chains, proc, profile, min_weight=0)
-        return chains, {}
+        return chains
 
     # ------------------------------------------------------------------
     def _grow_trace(

@@ -20,9 +20,9 @@ executed more than once", the default ``min_weight`` here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from ..cfg import BlockId, Procedure, TerminatorKind
+from ..cfg import BlockId, Procedure
 from ..profiling.edge_profile import EdgeProfile
 from .align import Aligner, greedy_link_pass
 from .chains import ChainSet
@@ -91,9 +91,7 @@ class TryNAligner(Aligner):
         )
 
     # ------------------------------------------------------------------
-    def build_chains(
-        self, proc: Procedure, profile: EdgeProfile
-    ) -> Tuple[ChainSet, Dict[BlockId, BlockId]]:
+    def build_chains(self, proc: Procedure, profile: EdgeProfile) -> ChainSet:
         """Window the hot edges and search each window exhaustively."""
         chains = ChainSet(proc)
         share = self._share
@@ -104,7 +102,6 @@ class TryNAligner(Aligner):
                 ("tryn-inputs", self.window, self.min_weight), share.builds,
                 proc, profile, lambda: self._search_inputs(proc, profile),
             )
-        jump_prefs: Dict[BlockId, BlockId] = {}
         for nodes in windows:
             assignment = self._search_window(proc, nodes, profile, retreating, chains)
             for src, option in assignment:
@@ -113,14 +110,9 @@ class TryNAligner(Aligner):
                     chains.link(src, option.target)
                 else:
                     chains.seal(src)
-                    if (
-                        proc.block(src).kind is TerminatorKind.COND
-                        and option.jump is not None
-                    ):
-                        jump_prefs[src] = option.jump
 
         greedy_link_pass(chains, proc, profile, min_weight=0)
-        return chains, jump_prefs
+        return chains
 
     def _search_inputs(
         self, proc: Procedure, profile: EdgeProfile

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..atomicio import atomic_write_text
+from ..atomicio import atomic_write_text, quarantine_file
 from ..runner.errors import FatalError
 from ..runner.retry import RetryPolicy, retry_rng
 from ..runner.runner import UnitTask
@@ -673,17 +673,9 @@ def repair_queue_dir(root: Union[str, Path]) -> Dict[str, List[str]]:
         )
         revoked.append(record.unit_id)
     quarantined: List[str] = []
-    if corrupt:
-        quarantine = root / QUARANTINE_DIR
-        quarantine.mkdir(parents=True, exist_ok=True)
-        for path in corrupt:
-            dest = quarantine / path.name
-            counter = 0
-            while dest.exists():
-                counter += 1
-                dest = quarantine / f"{path.stem}.{counter}{path.suffix}"
-            path.replace(dest)
-            quarantined.append(path.name)
+    for path in corrupt:
+        quarantine_file(path, root / QUARANTINE_DIR)
+        quarantined.append(path.name)
     return {"revoked": revoked, "quarantined": quarantined}
 
 
@@ -753,17 +745,9 @@ class Scheduler:
                 f"configuration (fingerprint {header.get('fingerprint')!r}, "
                 f"this run {self.fingerprint!r}); refusing to resume"
             )
-        if corrupt:
-            quarantine = self.root / QUARANTINE_DIR
-            quarantine.mkdir(parents=True, exist_ok=True)
-            for path in corrupt:
-                dest = quarantine / path.name
-                counter = 0
-                while dest.exists():
-                    counter += 1
-                    dest = quarantine / f"{path.stem}.{counter}{path.suffix}"
-                path.replace(dest)
-                self.recovered.append(path.stem)
+        for path in corrupt:
+            quarantine_file(path, self.root / QUARANTINE_DIR)
+            self.recovered.append(path.stem)
 
         merged: List[UnitRecord] = []
         for record in fresh:

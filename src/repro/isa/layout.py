@@ -84,71 +84,14 @@ class ProcedureLayout:
     # ------------------------------------------------------------------
     @classmethod
     def from_order(
-        cls,
-        procedure: Procedure,
-        order: Sequence[BlockId],
-        jump_preference: Optional[Mapping[BlockId, BlockId]] = None,
+        cls, procedure: Procedure, order: Sequence[BlockId]
     ) -> "ProcedureLayout":
-        """Derive the minimal branch rewrites implied by a block order.
-
-        ``jump_preference`` says, for a conditional block the alignment
-        decided to *seal* ("align neither edge"), which successor must be
-        reached through an appended unconditional jump — the cost models
-        choose the edge whose prediction profits from travelling via the
-        jump, e.g. the hot self-loop edge under the FALLTHROUGH
-        architecture.  The preference is honoured even when chain
-        concatenation happens to place a successor adjacent, because the
-        adjacent-fall-through configuration is exactly what the seal
-        decision rejected; the only elision is when the jump's own target
-        ends up adjacent, where falling through is equivalent and one
-        instruction cheaper.  Conditional blocks without a preference get
-        the minimal rewrite their adjacency implies, defaulting to a jump
-        to the original fall-through successor when neither side is next.
-        """
-        prefs = dict(jump_preference or {})
-        placements: List[BlockPlacement] = []
-        order = list(order)
-        for idx, bid in enumerate(order):
-            block = procedure.block(bid)
-            nxt = order[idx + 1] if idx + 1 < len(order) else None
-            kind = block.kind
-            if kind is TerminatorKind.FALLTHROUGH:
-                succ = procedure.fallthrough_edge(bid).dst  # type: ignore[union-attr]
-                if succ == nxt:
-                    placements.append(BlockPlacement(bid))
-                else:
-                    placements.append(BlockPlacement(bid, jump_target=succ))
-            elif kind is TerminatorKind.UNCOND:
-                target = procedure.taken_edge(bid).dst  # type: ignore[union-attr]
-                if target == nxt:
-                    placements.append(BlockPlacement(bid, branch_removed=True))
-                else:
-                    placements.append(BlockPlacement(bid, taken_target=target))
-            elif kind is TerminatorKind.COND:
-                taken = procedure.taken_edge(bid).dst  # type: ignore[union-attr]
-                fall = procedure.fallthrough_edge(bid).dst  # type: ignore[union-attr]
-                via_jump = prefs.get(bid)
-                if via_jump is not None and via_jump not in (taken, fall):
-                    raise LayoutError(
-                        f"{procedure.name}: jump preference {via_jump} is "
-                        f"not a successor of block {bid}"
-                    )
-                if via_jump is not None and via_jump != nxt:
-                    direct = taken if via_jump == fall else fall
-                    placements.append(
-                        BlockPlacement(bid, taken_target=direct, jump_target=via_jump)
-                    )
-                elif nxt == fall:
-                    placements.append(BlockPlacement(bid, taken_target=taken))
-                elif nxt == taken:
-                    placements.append(BlockPlacement(bid, taken_target=fall))
-                else:
-                    placements.append(
-                        BlockPlacement(bid, taken_target=taken, jump_target=fall)
-                    )
-            else:  # INDIRECT, RETURN — placement never rewrites these
-                placements.append(BlockPlacement(bid))
-        return cls(procedure, placements)
+        """The minimal branch rewrites a block order implies
+        (:func:`adjacent_placement` for every block)."""
+        nexts: List[Optional[BlockId]] = [*order[1:], None]
+        return cls(procedure, [
+            adjacent_placement(procedure, bid, nxt) for bid, nxt in zip(order, nexts)
+        ])
 
     @classmethod
     def identity(cls, procedure: Procedure) -> "ProcedureLayout":
@@ -204,6 +147,38 @@ class ProcedureLayout:
     def removed_branches(self) -> List[BlockId]:
         """Unconditional-branch blocks whose branch was deleted."""
         return [p.bid for p in self.placements if p.branch_removed]
+
+
+def adjacent_placement(
+    procedure: Procedure, bid: BlockId, nxt: Optional[BlockId]
+) -> BlockPlacement:
+    """The minimal rewrite of block ``bid`` when ``nxt`` is placed next.
+
+    A fall-through block gets an appended jump unless its successor is
+    next, an unconditional branch is removed when its target is next,
+    and a conditional keeps its sense when its fall-through successor
+    is next, is inverted when its taken successor is, and otherwise
+    keeps its sense and jumps to its fall-through successor.  Indirect
+    jumps and returns are never rewritten.
+    """
+    kind = procedure.block(bid).kind
+    if kind is _FALLTHROUGH:
+        succ = procedure.fallthrough_edge(bid).dst  # type: ignore[union-attr]
+        return BlockPlacement(bid, jump_target=None if succ == nxt else succ)
+    if kind is _UNCOND:
+        target = procedure.taken_edge(bid).dst  # type: ignore[union-attr]
+        if target == nxt:
+            return BlockPlacement(bid, branch_removed=True)
+        return BlockPlacement(bid, taken_target=target)
+    if kind is _COND:
+        taken = procedure.taken_edge(bid).dst  # type: ignore[union-attr]
+        fall = procedure.fallthrough_edge(bid).dst  # type: ignore[union-attr]
+        if nxt == fall:
+            return BlockPlacement(bid, taken_target=taken)
+        if nxt == taken:
+            return BlockPlacement(bid, taken_target=fall)
+        return BlockPlacement(bid, taken_target=taken, jump_target=fall)
+    return BlockPlacement(bid)
 
 
 def _cannot(bid: BlockId, kind: TerminatorKind, what: str) -> Finding:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..atomicio import TMP_SUFFIX, atomic_write_text
+from ..atomicio import TMP_SUFFIX, atomic_write_text, quarantine_file
 from .errors import ValidationError
 
 MANIFEST_NAME = "manifest.json"
@@ -214,13 +214,7 @@ class ArtifactStore:
         path = self.path_for(key)
         dest: Optional[Path] = None
         if path.exists():
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            dest = self.quarantine_dir / path.name
-            counter = 0
-            while dest.exists():
-                counter += 1
-                dest = self.quarantine_dir / f"{path.stem}.{counter}{path.suffix}"
-            path.replace(dest)
+            dest = quarantine_file(path, self.quarantine_dir)
         if key in self._manifest:
             del self._manifest[key]
             self._write_manifest()

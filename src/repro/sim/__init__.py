@@ -23,7 +23,6 @@ from .metrics import (
     default_architectures,
     relative_cpi,
     simulate,
-    trace_fallthrough_rate,
 )
 from .replay import ReplayMismatchError, replay
 from .trace import BranchEvent, EventRecorder, TraceStats
@@ -61,7 +60,6 @@ __all__ = [
     "replay",
     "simulate",
     "trace",
-    "trace_fallthrough_rate",
     "trace_fingerprint",
     "trace_key",
     "wide_issue_cycles",

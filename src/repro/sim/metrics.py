@@ -232,33 +232,3 @@ def relative_cpi(instructions: int, bep: float, original_instructions: int) -> f
     if original_instructions <= 0:
         raise ValueError("original instruction count must be positive")
     return (instructions + bep) / original_instructions
-
-
-def trace_fallthrough_rate(trace: DecisionTrace, program) -> float:
-    """Original-layout fall-through rate straight from a decision trace.
-
-    Every ``T_BRANCH`` template names an intra-procedural edge; a
-    conditional fell through in the original layout exactly when it took
-    its CFG fall-through edge.  This is the number the replay engine's
-    :attr:`SimulationReport.fallthrough_rate` reports for the identity
-    layout, computed without replaying — tournaments use it to sanity
-    check the shared trace, claim 19 to avoid an extra simulation.
-    """
-    from ..cfg import TerminatorKind
-    from .decisions import T_BRANCH
-
-    executed = taken = 0
-    for template, count in zip(trace.templates, trace.counts):
-        if template[0] != T_BRANCH or not count:
-            continue
-        proc = program.procedure(template[1])
-        src, dst = template[2], template[3]
-        if proc.block(src).kind is not TerminatorKind.COND:
-            continue
-        executed += count
-        fallthrough = proc.fallthrough_edge(src)
-        if fallthrough is None or fallthrough.dst != dst:
-            taken += count
-    if not executed:
-        return 1.0
-    return (executed - taken) / executed

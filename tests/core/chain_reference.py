@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cfg import BlockId, Procedure, TerminatorKind
+from repro.cfg import BlockId, Procedure
 from repro.core import GreedyAligner, TryNAligner, block_options
 from repro.core.tryn import _SearchBudget
 
@@ -133,7 +133,7 @@ class ReferenceGreedy(GreedyAligner):
     def build_chains(self, proc, profile):
         chains = UnionFindChainSet(proc)
         reference_link_pass(chains, proc, profile)
-        return chains, {}
+        return chains
 
 
 class ReferenceTryN(TryNAligner):
@@ -142,7 +142,6 @@ class ReferenceTryN(TryNAligner):
     def build_chains(self, proc, profile):
         chains = UnionFindChainSet(proc)
         retreating = proc.cyclic_edge_pairs()
-        jump_prefs: Dict[BlockId, BlockId] = {}
         decided: Set[BlockId] = set()
 
         edges = profile.sorted_edges(proc, min_weight=self.min_weight)
@@ -167,15 +166,10 @@ class ReferenceTryN(TryNAligner):
                     chains.link(src, option.target)
                 else:
                     chains.seal(src)
-                    if (
-                        proc.block(src).kind is TerminatorKind.COND
-                        and option.jump is not None
-                    ):
-                        jump_prefs[src] = option.jump
                 decided.add(src)
 
         reference_link_pass(chains, proc, profile)
-        return chains, jump_prefs
+        return chains
 
     def _search_window(self, proc, nodes, profile, retreating, chains):
         per_node = [

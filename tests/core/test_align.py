@@ -1,17 +1,25 @@
 """Unit tests for alignment orchestration and the OriginalAligner."""
 
+from collections import Counter
+from math import factorial
+
 import pytest
 
+from repro.analysis.experiment import run_benchmark_experiment
 from repro.core import (
     CostAligner,
+    ExhaustiveAligner,
     GreedyAligner,
     OriginalAligner,
     TryNAligner,
     align_program,
     make_model,
 )
-from repro.isa import ProgramLayout
+from repro.core.registry import plan_algorithms
+from repro.isa import ProcedureLayout, ProgramLayout
 from repro.profiling import profile_program
+from repro.sim.metrics import ALL_ARCHS
+from repro.workloads import generate_benchmark
 
 
 class TestOriginalAligner:
@@ -65,3 +73,41 @@ class TestAlignProgram:
         layout = TryNAligner(make_model("likely")).align(call_program, EdgeProfile())
         for name in call_program.order:
             layout[name].check()
+
+
+@pytest.fixture
+def layouts_built(monkeypatch):
+    """Counts ``ProcedureLayout`` constructions per procedure name."""
+    built = Counter()
+    init = ProcedureLayout.__init__
+
+    def counting(self, procedure, placements):
+        built[procedure.name] += 1
+        init(self, procedure, placements)
+
+    monkeypatch.setattr(ProcedureLayout, "__init__", counting)
+    return built
+
+
+class TestEachLayoutBuiltOnce:
+    def test_one_layout_per_procedure_per_variant(self, layouts_built):
+        """The identity and each aligned variant build one layout per
+        procedure; ``validate_layout`` re-checks them and builds none."""
+        program = generate_benchmark("eqntott", 0.05)
+        run_benchmark_experiment("eqntott", program=program, seed=0, validate=True)
+        variants = sum(
+            len(plan.variants)
+            for plan in plan_algorithms(None, ALL_ARCHS)
+            if not plan.spec.identity
+        )
+        assert variants == 9
+        assert layouts_built == Counter({proc.name: variants + 1 for proc in program})
+
+    def test_exhaustive_search_lays_out_each_order_once(
+        self, layouts_built, diamond_program
+    ):
+        profile = profile_program(diamond_program)
+        proc = diamond_program.procedure("main")
+        layouts_built.clear()
+        ExhaustiveAligner(make_model("btfnt")).align_procedure(proc, profile)
+        assert layouts_built == Counter({"main": factorial(len(proc) - 1)})

@@ -119,7 +119,7 @@ class TestCostAligner:
         profile.set_weight(proc.name, ids["endthen"], ids["join"], 50)
         profile.set_weight(proc.name, ids["else"], ids["join"], 60)
         aligner = CostAligner(make_model("likely"))
-        chains, _ = aligner.build_chains(proc, profile)
+        chains = aligner.build_chains(proc, profile)
         assert chains.succ[ids["else"]] == ids["join"]
 
     def test_model_attached_for_refinement(self):

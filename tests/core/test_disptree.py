@@ -40,7 +40,7 @@ class TestDispTreeChains:
         profile.set_weight(proc.name, ids["case2"], ids["exit"], 90)
         profile.set_weight(proc.name, ids["case1"], ids["exit"], 5)
         profile.set_weight(proc.name, ids["default"], ids["exit"], 5)
-        chains, _ = DispTreeAligner().build_chains(proc, profile)
+        chains = DispTreeAligner().build_chains(proc, profile)
         chains.check()
         # Hot spine: entry -> test1 -> test2 -> case2 -> exit.
         assert chains.succ[ids["entry"]] == ids["test1"]
@@ -55,13 +55,13 @@ class TestDispTreeChains:
         profile.set_weight(proc.name, ids["entry"], ids["test"], 100)
         profile.set_weight(proc.name, ids["test"], ids["then"], 50)
         profile.set_weight(proc.name, ids["test"], ids["else"], 50)
-        chains, _ = DispTreeAligner().build_chains(proc, profile)
+        chains = DispTreeAligner().build_chains(proc, profile)
         # "then" is the diamond's fall-through side; the tie keeps it.
         assert chains.succ[ids["test"]] == ids["then"]
 
     def test_cold_blocks_still_threaded(self):
         proc = diamond_procedure()
-        chains, _ = DispTreeAligner().build_chains(proc, EdgeProfile())
+        chains = DispTreeAligner().build_chains(proc, EdgeProfile())
         chains.check()
         assert sum(1 for b in proc.blocks if chains.succ[b] is not None) >= 4
 

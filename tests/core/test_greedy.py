@@ -24,8 +24,7 @@ class TestGreedyChains:
         profile.set_weight(proc.name, ids["then"], ids["endthen"], 10)
         profile.set_weight(proc.name, ids["endthen"], ids["join"], 10)
         profile.set_weight(proc.name, ids["join"], ids["exit"], 100)
-        chains, prefs = GreedyAligner().build_chains(proc, profile)
-        assert prefs == {}
+        chains = GreedyAligner().build_chains(proc, profile)
         assert chains.succ[ids["test"]] == ids["else"]
         assert chains.succ[ids["else"]] == ids["join"]
 
@@ -36,7 +35,7 @@ class TestGreedyChains:
         # join has two predecessors wanting it; else is hotter.
         profile.set_weight(proc.name, ids["else"], ids["join"], 90)
         profile.set_weight(proc.name, ids["endthen"], ids["join"], 10)
-        chains, _ = GreedyAligner().build_chains(proc, profile)
+        chains = GreedyAligner().build_chains(proc, profile)
         assert chains.succ[ids["else"]] == ids["join"]
         assert chains.succ[ids["endthen"]] is None
 
@@ -47,7 +46,7 @@ class TestGreedyChains:
         profile.set_weight(proc.name, ids["body"], ids["latch"], 10)
         profile.set_weight(proc.name, ids["latch"], ids["body"], 9)
         profile.set_weight(proc.name, ids["latch"], ids["exit"], 1)
-        chains, _ = GreedyAligner().build_chains(proc, profile)
+        chains = GreedyAligner().build_chains(proc, profile)
         chains.check()
         # body->latch links first (heavier); latch->body would be a cycle.
         assert chains.succ[ids["body"]] == ids["latch"]
@@ -57,7 +56,7 @@ class TestGreedyChains:
         # Never-executed regions get threaded too (the static sweep).
         proc = diamond_procedure()
         profile = EdgeProfile()  # completely empty profile
-        chains, _ = GreedyAligner().build_chains(proc, profile)
+        chains = GreedyAligner().build_chains(proc, profile)
         chains.check()
         linked_pairs = sum(1 for b in proc.blocks if chains.succ[b] is not None)
         assert linked_pairs >= 4

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import make_model
 from repro.core.refine import refine_senses
-from repro.isa import ProcedureLayout
 from repro.profiling import EdgeProfile
 from tests.conftest import diamond_procedure, loop_procedure
 
@@ -29,8 +28,9 @@ class TestRefine:
         proc = diamond_procedure()
         ids = _labels(proc)
         profile = _diamond_profile(proc, hot_else=True)
-        identity = ProcedureLayout.identity(proc)
-        refined = refine_senses(identity, make_model("fallthrough"), profile)
+        refined = refine_senses(
+            proc, proc.original_order, make_model("fallthrough"), profile
+        )
         placement = refined.placements[refined.position[ids["test"]]]
         # Inverted: hot else side becomes the fall-through via a jump.
         assert placement.taken_target == ids["then"]
@@ -40,8 +40,9 @@ class TestRefine:
         proc = diamond_procedure()
         ids = _labels(proc)
         profile = _diamond_profile(proc, hot_else=False)
-        identity = ProcedureLayout.identity(proc)
-        refined = refine_senses(identity, make_model("fallthrough"), profile)
+        refined = refine_senses(
+            proc, proc.original_order, make_model("fallthrough"), profile
+        )
         placement = refined.placements[refined.position[ids["test"]]]
         assert placement.taken_target == ids["else"]
         assert placement.jump_target is None
@@ -53,8 +54,7 @@ class TestRefine:
         profile = EdgeProfile()
         profile.set_weight(proc.name, ids["latch"], ids["body"], 90)
         profile.set_weight(proc.name, ids["latch"], ids["exit"], 10)
-        identity = ProcedureLayout.identity(proc)
-        refined = refine_senses(identity, make_model("btfnt"), profile)
+        refined = refine_senses(proc, proc.original_order, make_model("btfnt"), profile)
         placement = refined.placements[refined.position[ids["latch"]]]
         assert placement.taken_target == ids["body"]
         assert placement.jump_target is None
@@ -67,8 +67,9 @@ class TestRefine:
         profile = EdgeProfile()
         profile.set_weight(proc.name, ids["latch"], ids["body"], 90)
         profile.set_weight(proc.name, ids["latch"], ids["exit"], 10)
-        identity = ProcedureLayout.identity(proc)
-        refined = refine_senses(identity, make_model("fallthrough"), profile)
+        refined = refine_senses(
+            proc, proc.original_order, make_model("fallthrough"), profile
+        )
         placement = refined.placements[refined.position[ids["latch"]]]
         assert placement.taken_target == ids["exit"]
         assert placement.jump_target == ids["body"]
@@ -77,7 +78,7 @@ class TestRefine:
         proc = diamond_procedure()
         profile = _diamond_profile(proc)
         refined = refine_senses(
-            ProcedureLayout.identity(proc), make_model("fallthrough"), profile
+            proc, proc.original_order, make_model("fallthrough"), profile
         )
         refined.check()  # would raise on any lost successor
 
@@ -90,11 +91,11 @@ class TestRefine:
         profile.set_weight(proc.name, ids["latch"], ids["exit"], 10)
         for arch in ("fallthrough", "btfnt", "likely", "pht", "btb"):
             model = make_model(arch)
-            base = ProcedureLayout.identity(proc)
-            refined = refine_senses(base, model, profile)
+            refined = refine_senses(proc, proc.original_order, model, profile)
             # Compare modelled cond costs through a tiny local evaluator:
             # total placed size can grow (jumps), but the model chose the
             # cheaper configuration for every conditional by construction,
             # so re-refining is a fixed point.
-            again = refine_senses(refined, model, profile)
+            order = [p.bid for p in refined.placements]
+            again = refine_senses(proc, order, model, profile)
             assert [p for p in again.placements] == [p for p in refined.placements]

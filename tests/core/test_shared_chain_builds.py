@@ -135,8 +135,8 @@ class TestNoStaleSharing:
         # Each shared pair saw both profiles, which build different chains.
         for aligner in (GreedyAligner(), TryNAligner.for_architecture("likely")):
             assert any(
-                aligner.build_chains(proc, profiles[0]())[0].chains()
-                != aligner.build_chains(proc, profiles[1]())[0].chains()
+                aligner.build_chains(proc, profiles[0]()).chains()
+                != aligner.build_chains(proc, profiles[1]()).chains()
                 for proc in program
             )
 

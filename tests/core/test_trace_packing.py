@@ -27,7 +27,7 @@ class TestTraceGrowing:
         profile.set_weight(proc.name, ids["test"], ids["then"], 10)
         profile.set_weight(proc.name, ids["else"], ids["join"], 90)
         profile.set_weight(proc.name, ids["join"], ids["exit"], 100)
-        chains, _ = TraceAligner().build_chains(proc, profile)
+        chains = TraceAligner().build_chains(proc, profile)
         # The entry trace runs entry -> test -> else -> join -> exit.
         assert chains.chain_of(ids["entry"])[:5] == [
             ids["entry"], ids["test"], ids["else"], ids["join"], ids["exit"]
@@ -39,7 +39,7 @@ class TestTraceGrowing:
         profile = profile_program(
             __import__("repro").cfg.Program([proc], entry=proc.name)
         )
-        chains, _ = TraceAligner().build_chains(proc, profile)
+        chains = TraceAligner().build_chains(proc, profile)
         chains.check()
 
     def test_cold_blocks_form_later_traces(self):

@@ -16,11 +16,7 @@ from repro.isa.layout import (
 )
 from repro.runner.faults import _swap_placement
 from repro.cfg import Program
-from tests.conftest import (
-    diamond_procedure,
-    loop_procedure,
-    self_loop_procedure,
-)
+from tests.conftest import diamond_procedure, loop_procedure
 
 
 def _labels(proc):
@@ -63,43 +59,6 @@ class TestFromOrder:
         assert ids["test"] in layout.inverted_conditionals()
         placement = layout.placements[layout.position[ids["test"]]]
         assert placement.taken_target == ids["then"]
-
-    def test_seal_preference_forces_jump_even_when_adjacent(self):
-        proc = self_loop_procedure()
-        ids = _labels(proc)
-        layout = ProcedureLayout.from_order(
-            proc,
-            [ids["entry"], ids["loop"], ids["exit"]],
-            jump_preference={ids["loop"]: ids["loop"]},
-        )
-        placement = layout.placements[layout.position[ids["loop"]]]
-        # Fall-through goes to the appended jump back to the loop; the
-        # conditional now takes the exit.
-        assert placement.jump_target == ids["loop"]
-        assert placement.taken_target == ids["exit"]
-        assert layout.placed_size(ids["loop"]) == 12
-
-    def test_jump_preference_elided_when_target_adjacent(self):
-        proc = diamond_procedure()
-        ids = _labels(proc)
-        order = list(proc.original_order)
-        layout = ProcedureLayout.from_order(
-            proc, order, jump_preference={ids["test"]: ids["then"]}
-        )
-        # "then" is already the fall-through: the jump would land on the
-        # next instruction, so it is elided and the sense stays normal.
-        placement = layout.placements[layout.position[ids["test"]]]
-        assert placement.jump_target is None
-        assert placement.taken_target == ids["else"]
-
-    def test_bad_jump_preference_rejected(self):
-        proc = diamond_procedure()
-        ids = _labels(proc)
-        with pytest.raises(LayoutError):
-            ProcedureLayout.from_order(
-                proc, list(proc.original_order),
-                jump_preference={ids["test"]: ids["exit"]},
-            )
 
 
 class TestChecking:

@@ -81,9 +81,11 @@ def test_refinement_never_increases_model_cost(program):
     base_layout = GreedyAligner().align(program, profile)
     for arch in ("fallthrough", "btfnt", "likely", "pht", "btb"):
         model = make_model(arch)
+        base = base_layout["main"]
+        order = [p.bid for p in base.placements]
         refined = ProgramLayout(
             program,
-            {"main": refine_senses(base_layout["main"], model, profile)},
+            {"main": refine_senses(base.procedure, order, model, profile)},
         )
         assert model.layout_cost(link(refined), profile) <= model.layout_cost(
             link(base_layout), profile

@@ -84,30 +84,3 @@ class TestSimulate:
         # Alignment may flip senses but never changes which conditionals
         # execute.
         assert aligned.cond_executed == base.cond_executed
-
-
-class TestTraceFallthroughRate:
-    def test_matches_simulated_identity_rate(self, loop_program):
-        from repro.sim import capture_decisions, trace_fallthrough_rate
-
-        profile = profile_program(loop_program)
-        report = simulate(link_identity(loop_program), profile)
-        trace = capture_decisions(loop_program, seed=0)
-        assert trace_fallthrough_rate(trace, loop_program) == pytest.approx(
-            report.fallthrough_rate
-        )
-
-    def test_loop_rate_is_one_in_ten(self, loop_program):
-        from repro.sim import capture_decisions, trace_fallthrough_rate
-
-        trace = capture_decisions(loop_program, seed=0)
-        assert trace_fallthrough_rate(trace, loop_program) == pytest.approx(0.1)
-
-    def test_branchless_trace_rates_as_all_fallthrough(self):
-        from tests.conftest import single_block_program
-
-        from repro.sim import capture_decisions, trace_fallthrough_rate
-
-        program = single_block_program()
-        trace = capture_decisions(program, seed=0)
-        assert trace_fallthrough_rate(trace, program) == 1.0

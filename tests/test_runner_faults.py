@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import GreedyAligner
 from repro.isa.encoder import link
 from repro.oracle import alignment_layouts
 from repro.profiling import profile_program
@@ -14,6 +15,7 @@ from repro.runner import (
     RunnerConfig,
     TransientError,
     parse_fault_spec,
+    run_figure4_resilient,
     run_suite_resilient,
 )
 from repro.runner.faults import FaultInjector, _retarget_transfer
@@ -145,6 +147,20 @@ class TestSuiteLevelFaults:
         assert failure.kind == "validation"
         assert failure.stage == "profile"
         assert failure.attempts == 1  # validation errors are never retried
+
+
+class TestAlignerFailure:
+    @pytest.mark.parametrize("run", [run_suite_resilient, run_figure4_resilient])
+    def test_an_aligner_exception_fails_its_unit_at_the_align_stage(self, run, monkeypatch):
+        # The aligners run inside the simulate stage's experiment; the
+        # failure still names the stage that raised.
+        def boom(self, proc, profile):
+            raise RuntimeError("greedy exploded")
+
+        monkeypatch.setattr(GreedyAligner, "build_chains", boom)
+        (failure,) = run(["eqntott"], scale=0.05).failures
+        assert (failure.stage, failure.kind, failure.attempts) == ("align", "error", 1)
+        assert failure.message == "RuntimeError: greedy exploded"
 
 
 class _CountingRandom(random.Random):

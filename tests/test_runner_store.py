@@ -141,6 +141,19 @@ class TestQuarantineAndRepair:
         with pytest.raises(ArtifactCorruptError):
             store.verify("k")
 
+    def test_a_name_quarantined_twice_keeps_both_files(self, store):
+        first = store.put("k", {"v": 1}).read_bytes()
+        earlier = store.quarantine("k")
+        second = store.put("k", {"v": 2}).read_bytes()
+        later = store.quarantine("k")
+        stem, suffix = earlier.stem, earlier.suffix
+        assert earlier.name == store.path_for("k").name
+        assert later == store.quarantine_dir / f"{stem}.1{suffix}"
+        assert sorted(p.name for p in store.quarantine_dir.iterdir()) == sorted(
+            [earlier.name, later.name]
+        )
+        assert (earlier.read_bytes(), later.read_bytes()) == (first, second)
+
     def test_repair_quarantines_corrupt_keeps_intact(self, store):
         store.put("good", {"ok": True})
         bad = store.put("bad", {"ok": False})
