@@ -29,9 +29,9 @@ each architecture gets its own :class:`ArchModel`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Tuple
 
-from ..cfg import BlockId, Procedure, TerminatorKind
+from ..cfg import Procedure, TerminatorKind
 from ..isa.encoder import LinkedProgram
 from ..profiling.condmix import stationary_two_bit_rates
 from ..profiling.edge_profile import EdgeProfile

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..cfg import BlockId, EdgeKind, Procedure
+from ..cfg import BlockId, Procedure
 from ..profiling.edge_profile import EdgeProfile
 from .chains import ChainSet
 

@@ -163,6 +163,18 @@ class Loop(CondBehavior):
             return not self.continue_taken
         return self.continue_taken
 
+    def finish_activation(self) -> int:
+        """Consume the rest of the current activation, exit included.
+
+        Returns how many times the loop continues before it exits, and
+        starts the next activation.  The draws and the final state equal
+        those of calling :meth:`choose` until it first returns the exit
+        direction.
+        """
+        continues = max(self._remaining - 1, 0)
+        self._remaining = self._draw()
+        return continues
+
 
 class IndirectChoice:
     """Chooses among the targets of an indirect jump.

@@ -32,7 +32,8 @@ import json
 import sys
 from array import array
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
+from graphlib import CycleError, TopologicalSorter
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
 
 if TYPE_CHECKING:
     from ..profiling.edge_profile import EdgeProfile
@@ -40,7 +41,8 @@ if TYPE_CHECKING:
 from ..cfg import BlockId, Program, TerminatorKind
 from ..isa.encoder import INSTRUCTION_BYTES
 from ..isa.serialize import FORMAT_VERSION as ISA_FORMAT_VERSION
-from .executor import check_behaviours
+from .behaviors import Loop
+from .executor import ExecutionError, check_behaviours
 from .predictors.ras import ReturnStack
 
 #: Bump to invalidate every previously cached trace (schema evolution).
@@ -199,44 +201,80 @@ class DecisionTrace:
                 ids.setdefault(site, len(ids))
         return ids
 
+    def _longest_call_chain(self) -> Optional[int]:
+        """Most calls live at once on any path of the executed call graph.
+
+        None when that graph has a cycle (recursion), so no chain bounds
+        the stack.  The graph is walked in topological order, iteratively.
+        """
+        callers: Dict[str, Set[str]] = {}
+        for template in self.templates:
+            if template[0] == T_CALL:
+                callers.setdefault(template[4], set()).add(template[1])
+        try:
+            order = list(TopologicalSorter(callers).static_order())
+        except CycleError:
+            return None
+        chain: Dict[str, int] = {}
+        for proc in order:
+            chain[proc] = max((chain[caller] + 1 for caller in callers.get(proc, ())), default=0)
+        return max(chain.values(), default=0)
+
     def ras_stats(self, depth: int) -> Tuple[int, int, int]:
         """(pushes, pops, correct) of a ``depth``-entry return stack.
 
         Return-stack behaviour is layout-invariant: pushed values are
         call-site return addresses and pop targets are those same
         addresses, so prediction outcomes depend only on call-site
-        *identity* — which this replays with small site ids (+1 so the
-        final return's sentinel target 0 never matches a pushed value,
-        exactly as address 0 never equals ``site + 4``).
+        *identity*.  When the executed call graph is acyclic and no chain
+        of calls in it is deeper than the stack, no push is overwritten,
+        every return pops its own call site and the final return pops an
+        empty stack, so the tallies are the template counts: (calls,
+        returns + final returns, returns).  Otherwise this replays the
+        stack with small site ids (+1 so the final return's sentinel
+        target 0 never matches a pushed value, exactly as address 0 never
+        equals ``site + 4``).
         """
         if depth not in self._ras_cache:
-            site_ids = self._call_site_ids()
-            actions: List[Tuple[bool, int]] = []  # (is_push, value)
-            for template in self.templates:
-                kind = template[0]
-                if kind == T_CALL:
-                    actions.append((True, site_ids[(template[1], template[2], template[3])] + 1))
-                elif kind == T_RET:
-                    actions.append((False, site_ids[(template[3], template[4], template[5] - 1)] + 1))
-                elif kind == T_FINAL:
-                    actions.append((False, 0))
-                else:
-                    actions.append((True, -1))  # branch: no RAS action
-            ras = ReturnStack(depth)
-            branch_k = T_BRANCH
-            kinds = [t[0] for t in self.templates]
-            push, pop = ras.push, ras.pop_predict
-            for chunk in self._chunks:
-                for tid in chunk:
-                    if kinds[tid] == branch_k:
-                        continue
-                    is_push, value = actions[tid]
-                    if is_push:
-                        push(value)
-                    else:
-                        pop(value)
-            self._ras_cache[depth] = (ras.pushes, ras.pops, ras.correct)
+            chain = self._longest_call_chain()
+            if chain is None or chain > depth or depth < 1:
+                self._ras_cache[depth] = self._walk_ras(depth)
+            else:
+                steps_of = [0, 0, 0, 0]  # by template kind
+                for template, count in zip(self.templates, self.counts):
+                    steps_of[template[0]] += count
+                returns = steps_of[T_RET]
+                self._ras_cache[depth] = (steps_of[T_CALL], returns + steps_of[T_FINAL], returns)
         return self._ras_cache[depth]
+
+    def _walk_ras(self, depth: int) -> Tuple[int, int, int]:
+        """Drive a ``depth``-entry return stack through every call and return."""
+        site_ids = self._call_site_ids()
+        actions: List[Tuple[bool, int]] = []  # (is_push, value)
+        for template in self.templates:
+            kind = template[0]
+            if kind == T_CALL:
+                actions.append((True, site_ids[(template[1], template[2], template[3])] + 1))
+            elif kind == T_RET:
+                actions.append((False, site_ids[(template[3], template[4], template[5] - 1)] + 1))
+            elif kind == T_FINAL:
+                actions.append((False, 0))
+            else:
+                actions.append((True, -1))  # branch: no RAS action
+        ras = ReturnStack(depth)
+        branch_k = T_BRANCH
+        kinds = [t[0] for t in self.templates]
+        push, pop = ras.push, ras.pop_predict
+        for chunk in self._chunks:
+            for tid in chunk:
+                if kinds[tid] == branch_k:
+                    continue
+                is_push, value = actions[tid]
+                if is_push:
+                    push(value)
+                else:
+                    pop(value)
+        return ras.pushes, ras.pops, ras.correct
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -245,10 +283,42 @@ class DecisionTrace:
         )
 
 
+#: Walk-record kinds.  A record is (kind, method, a, b, tails, site): the
+#: behaviour method that decides (None if nothing does), two operands,
+#: the tails cached by what the record chose, and the ``(procedure,
+#: block)`` that templates name (a call's site also holds its index).
+_COND = 0      #: a conditional; a and b are its taken and fall-through successors
+_CYCLE = 1     #: a decision-free loop's conditional; a and b continue and exit
+_CALL = 2      #: a call; a is the frame it pushes, b the direct callee
+_RETURN = 3    #: a return; tails are keyed by the frame it pops
+_INDIRECT = 4  #: an indirect jump; a is its targets
+_FIXED = 5     #: a FALLTHROUGH or UNCOND terminator; a is the successor
+
+
+def _fixed_run(
+    entries: Dict[BlockId, Tuple], bid: BlockId
+) -> Tuple[List[Tuple[BlockId, BlockId]], Optional[Tuple]]:
+    """The transfers of the call-free fixed blocks from ``bid`` on.
+
+    ``entries`` maps each block to the record a walk meets on entering
+    it: its first call, else its terminator.  Returns the transfers as
+    ``(block, successor)`` pairs and the entry record of the block the run
+    stops at, the first that decides or calls: None if the run goes round
+    a cycle that never reaches one.
+    """
+    run: List[Tuple[BlockId, BlockId]] = []
+    while len(run) <= len(entries):
+        record = entries[bid]
+        if record[0] != _FIXED:
+            return run, record
+        run.append((bid, record[2]))
+        bid = record[2]
+    return run, None
+
+
 def capture_decisions(
     program: Program,
     seed: int = 0,
-    reset: bool = True,
     workload: Optional[str] = None,
     scale: Optional[float] = None,
     meld: bool = False,
@@ -261,124 +331,178 @@ def capture_decisions(
     is involved: the walk sees only blocks, edges and callees.
     ``workload``, ``scale`` and ``meld`` name the program for the trace
     cache (see :func:`trace_fingerprint`).
+
+    The walk takes one decision per iteration (a conditional, an
+    indirect jump, a call or a return) and appends what follows it in
+    one extend: the transfer chosen, then the transfers of the call-free
+    fall-through and unconditional blocks after it, up to the next block
+    that decides or calls.  That run of steps is a *tail*.  A return
+    into a fall-through or unconditional block whose calls are done
+    carries that block's transfer and run too.  Tails are cached per
+    record and choice and built on first use, so templates are numbered
+    in the order a walk of one step at a time meets them.  A call-free
+    conditional driven by an exact :class:`~repro.sim.behaviors.Loop`,
+    whose continue tail leads back to it, emits the rest of each
+    activation at once.
     """
-    if reset:
-        program.reset_behaviors(seed)
+    program.reset_behaviors(seed)
     check_behaviours(program)
 
-    # Pre-resolve per-block walk records.
-    # Each record ends with the block's template-id tables — successor ->
-    # id, one callee -> id table per call, return frame -> id — so a
-    # repeated step looks its id up without building a template tuple.
-    walk: Dict[str, Dict[BlockId, Tuple]] = {}
-    entries: Dict[str, BlockId] = {}
+    # A block is entered at its first call's record, else at its
+    # terminator's; each call's frame resumes at the next call or the
+    # terminator.  A frame indexes ``frames``: the caller, its block, the
+    # call index to resume at and the record that resumes there.
+    entries_of: Dict[str, Dict[BlockId, Tuple]] = {}
+    frames: List[Tuple[str, BlockId, int, Tuple]] = []
     for proc in program:
-        entries[proc.name] = proc.entry
-        records: Dict[BlockId, Tuple] = {}
+        entries: Dict[BlockId, Tuple] = {}
+        entries_of[proc.name] = entries
         for block in proc:
-            ft = proc.fallthrough_edge(block.bid)
-            taken = proc.taken_edge(block.bid)
-            indirect_dsts: List[BlockId] = []
-            if block.kind is TerminatorKind.INDIRECT:
-                indirect_dsts = [e.dst for e in proc.out_edges(block.bid)]
-            records[block.bid] = (
-                block.kind,
-                block.behavior,
-                [(c.callee, c.chooser) for c in block.calls],
-                len(block.calls),
-                ft.dst if ft is not None else None,
-                taken.dst if taken is not None else None,
-                indirect_dsts,
-                {},
-                [{} for _ in block.calls],
-                {},
-            )
-        walk[proc.name] = records
+            bid = block.bid
+            site = (proc.name, bid)
+            ft = proc.fallthrough_edge(bid)
+            taken = proc.taken_edge(bid)
+            ft_dst = ft.dst if ft is not None else None
+            taken_dst = taken.dst if taken is not None else None
+            behavior = block.behavior
+            term = block.kind
+            if term is TerminatorKind.COND:
+                record: Tuple = (_COND, behavior.choose, taken_dst, ft_dst, {}, site)
+            elif term is TerminatorKind.FALLTHROUGH:
+                record = (_FIXED, None, ft_dst, None, {}, site)
+            elif term is TerminatorKind.UNCOND:
+                record = (_FIXED, None, taken_dst, None, {}, site)
+            elif term is TerminatorKind.INDIRECT:
+                targets = [e.dst for e in proc.out_edges(bid)]
+                method = behavior.choose if behavior is not None else None
+                record = (_INDIRECT, method, targets, None, {}, site)
+            else:
+                record = (_RETURN, None, None, None, {}, site)
+            for idx in reversed(range(len(block.calls))):
+                call = block.calls[idx]
+                frames.append((proc.name, bid, idx + 1, record))
+                method = call.chooser.choose if call.chooser is not None else None
+                record = (_CALL, method, len(frames) - 1, call.callee, {}, site + (idx,))
+            entries[bid] = record
+        # Decision-free cycles are found before the walk, so finding one
+        # numbers no template.
+        for block in proc:
+            record = entries[block.bid]
+            behavior = block.behavior
+            if record[0] == _COND and type(behavior) is Loop:
+                cont, leave = record[2], record[3]
+                if not behavior.continue_taken:
+                    cont, leave = leave, cont
+                if _fixed_run(entries, cont)[1] is record:
+                    entries[block.bid] = (
+                        _CYCLE, behavior.finish_activation, cont, leave, {}, record[5]
+                    )
 
     templates: List[Tuple] = []
     counts: List[int] = []
     chunks: List[array] = []
+    ids: Dict[Tuple, int] = {}
 
-    def new_template(template: Tuple) -> int:
-        templates.append(template)
-        counts.append(0)
-        return len(templates) - 1
+    def tid_of(template: Tuple) -> int:
+        tid = ids.get(template)
+        if tid is None:
+            tid = ids[template] = len(templates)
+            templates.append(template)
+            counts.append(0)
+        return tid
+
+    def make_tail(head: List[Tuple], proc_name: str, bid: BlockId) -> Tuple[array, int, Tuple]:
+        """The ``head`` templates' steps, then the fixed run from ``bid`` on."""
+        run, stop = _fixed_run(entries_of[proc_name], bid)
+        if stop is None:
+            raise ExecutionError(f"{proc_name}: block {bid} starts a loop with no exit")
+        steps = array(_STREAM_TYPECODE, [tid_of(template) for template in head])
+        for src, succ in run:
+            steps.append(tid_of((T_BRANCH, proc_name, src, succ)))
+        return steps, len(steps), stop
+
+    def return_tail(site: Tuple, frame: int) -> Tuple[array, int, Tuple]:
+        """The return from ``site`` to ``frame``, and a fixed caller's run."""
+        caller, caller_bid, resume, resumed = frames[frame]
+        head = [(T_RET,) + site + (caller, caller_bid, resume)]
+        if resumed[0] != _FIXED:
+            return array(_STREAM_TYPECODE, [tid_of(head[0])]), 1, resumed
+        head.append((T_BRANCH, caller, caller_bid, resumed[2]))
+        return make_tail(head, caller, resumed[2])
 
     def seal(chunk: array) -> None:
         for tid, n in Counter(chunk).items():
             counts[tid] += n
         chunks.append(chunk)
 
-    cond_kind = TerminatorKind.COND
-    ft_kind = TerminatorKind.FALLTHROUGH
-    uncond_kind = TerminatorKind.UNCOND
-    return_kind = TerminatorKind.RETURN
+    cond_k, cycle_k, call_k, return_k = _COND, _CYCLE, _CALL, _RETURN
 
-    stack: List[Tuple[str, BlockId, int]] = []
-    proc_name = program.entry
-    records = walk[proc_name]
-    bid = entries[proc_name]
-    call_idx = 0
+    stack: List[int] = []
     current = array(_STREAM_TYPECODE)
-    append = current.append
+    extend = current.extend
     room = CHUNK_STEPS
+    tail = make_tail([], program.entry, program.procedure(program.entry).entry)
 
     while True:
-        (kind, behavior, calls, ncalls, ft_dst, taken_dst, indirect_dsts,
-         branch_ids, call_ids, ret_ids) = records[bid]
+        run, n, record = tail
+        extend(run)
+        room -= n
+        if room <= 0:
+            full = len(current) - len(current) % CHUNK_STEPS
+            for start in range(0, full, CHUNK_STEPS):
+                seal(current[start:start + CHUNK_STEPS])
+            current = current[full:]
+            extend = current.extend
+            room = CHUNK_STEPS - len(current)
 
-        if call_idx < ncalls:
-            callee, chooser = calls[call_idx]
-            if chooser is not None:
-                callee = chooser.choose()
-            tid = call_ids[call_idx].get(callee)
-            if tid is None:
-                tid = call_ids[call_idx][callee] = new_template(
-                    (T_CALL, proc_name, bid, call_idx, callee)
+        kind, choose, a, b, tails, site = record
+        if kind == cond_k:
+            succ = a if choose() else b
+        elif kind == cycle_k:
+            continues = choose()
+            if continues:
+                cycle = tails.get(a)
+                if cycle is None:
+                    cycle = tails[a] = make_tail([(T_BRANCH,) + site + (a,)], site[0], a)
+                extend(cycle[0] * continues)
+                room -= cycle[1] * continues
+            succ = b
+        elif kind == call_k:
+            callee = b if choose is None else choose()
+            tail = tails.get(callee)
+            if tail is None:
+                tail = tails[callee] = make_tail(
+                    [(T_CALL,) + site + (callee,)], callee, program.procedure(callee).entry
                 )
-            stack.append((proc_name, bid, call_idx + 1))
-            proc_name = callee
-            records = walk[proc_name]
-            bid = entries[proc_name]
-            call_idx = 0
-        elif kind is return_kind:
+            stack.append(a)
+            continue
+        elif kind == return_k:
             if not stack:
-                append(new_template((T_FINAL, proc_name, bid)))
+                current.append(tid_of((T_FINAL,) + site))
                 break
             frame = stack.pop()
-            tid = ret_ids.get(frame)
-            if tid is None:
-                tid = ret_ids[frame] = new_template((T_RET, proc_name, bid) + frame)
-            proc_name, bid, call_idx = frame
-            records = walk[proc_name]
+            tail = tails.get(frame)
+            if tail is None:
+                tail = tails[frame] = return_tail(site, frame)
+            continue
+        elif choose is not None:  # INDIRECT
+            succ = a[choose()]
         else:
-            if kind is cond_kind:
-                succ = taken_dst if behavior.choose() else ft_dst
-            elif kind is ft_kind:
-                succ = ft_dst
-            elif kind is uncond_kind:
-                succ = taken_dst
-            elif behavior is not None:  # INDIRECT
-                succ = indirect_dsts[behavior.choose()]
-            else:
-                succ = indirect_dsts[0]
-            tid = branch_ids.get(succ)
-            if tid is None:
-                tid = branch_ids[succ] = new_template((T_BRANCH, proc_name, bid, succ))
-            bid = succ
-            call_idx = 0
-
-        append(tid)
-        room -= 1
-        if not room:
-            seal(current)
-            current = array(_STREAM_TYPECODE)
-            append = current.append
-            room = CHUNK_STEPS
+            succ = a[0]
+        tail = tails.get(succ)
+        if tail is None:
+            tail = tails[succ] = make_tail([(T_BRANCH,) + site + (succ,)], site[0], succ)
 
     if len(current):
         seal(current)
     steps = sum(counts)
+    # Tails point at records and records hold their tails: unlink them so
+    # the walk's tables are freed now, not by a later cyclic collection.
+    for entries in entries_of.values():
+        for record in entries.values():
+            record[4].clear()
+    for *_, resumed in frames:
+        resumed[4].clear()
 
     meta: Dict[str, object] = {"seed": seed}
     fingerprint = None

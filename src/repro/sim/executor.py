@@ -127,7 +127,6 @@ def execute(
     profile_hook: Optional[Callable[[str, BlockId, BlockId], None]] = None,
     block_hook: Optional[Callable[[str, BlockId], None]] = None,
     seed: int = 0,
-    reset: bool = True,
     max_events: Optional[int] = None,
 ) -> ExecutionResult:
     """Run a linked program from its entry procedure until it returns.
@@ -144,9 +143,8 @@ def execute(
             execution, in order — the layout-independent block-visit
             sequence the differential oracle compares (addresses are
             ambiguous for zero-size blocks; ids are not).
-        seed: Behaviour seed; identical seeds replay identical inputs.
-        reset: Reset all behaviours before running (disable only if the
-            caller already reset them).
+        seed: Behaviour seed; every behaviour is reset to it before the
+            run, so identical seeds replay identical inputs.
         max_events: Optional safety cap; execution stops cleanly once this
             many events have been emitted.
 
@@ -154,8 +152,7 @@ def execute(
         An :class:`ExecutionResult` with dynamic instruction/event counts.
     """
     program = linked.program
-    if reset:
-        program.reset_behaviors(seed)
+    program.reset_behaviors(seed)
     nodes = _compile_nodes(linked)
     entry_addr = {name: linked.entry_address(name) for name in program.order}
     emit = [listener.on_event for listener in listeners]

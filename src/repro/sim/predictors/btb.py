@@ -20,10 +20,10 @@ and a correctly predicted taken conditional that hits costs nothing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .. import trace as tr
-from .base import MISFETCH_CYCLES, MISPREDICT_CYCLES, PenaltyCounts
+from .base import PenaltyCounts
 from .ras import ReturnStack
 
 

@@ -59,7 +59,7 @@ from typing import (
 from ..isa.encoder import INSTRUCTION_BYTES, LinkedProgram
 from ..cfg import BlockId, TerminatorKind
 from . import trace as tr
-from .decisions import DecisionTrace, T_BRANCH, T_CALL, T_FINAL, T_RET
+from .decisions import DecisionTrace, T_BRANCH, T_CALL, T_RET
 from .executor import ExecutionResult, check_behaviours
 from .predictors.btb import BTBSim, _Entry as _BTBEntry
 from .predictors.pht import CorrelationPHT, DirectMappedPHT

@@ -20,7 +20,7 @@ exactly the claim, made measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..isa.encoder import LinkedProgram
 from . import trace as tr

@@ -1,10 +1,8 @@
 """Unit tests for the Pettis–Hansen greedy aligner."""
 
 from repro.core import GreedyAligner
-from repro.isa import link, link_identity
 from repro.profiling import EdgeProfile, profile_program
 from tests.conftest import diamond_procedure, loop_procedure
-from repro.cfg import Program
 
 
 def _labels(proc):
